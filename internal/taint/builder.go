@@ -23,7 +23,9 @@ import (
 // Value pairs are canonicalized per label in collapsed mode, so the
 // builder's memory grows with code coverage (the number of distinct
 // labels), not with run time — the property §5.2 relies on for analyzing
-// long executions.
+// long executions. A value's pair is simply the endpoints of its internal
+// edge: only value emits KindInternal labels, and collapsed mode never
+// compacts, so those endpoints never move.
 type builder struct {
 	ar *flowgraph.Arena
 
@@ -31,9 +33,9 @@ type builder struct {
 	// at export. nil in exact mode, where no unions ever happen.
 	uf *unionfind.UF
 
-	// slots maps a label to its arena edge slot (collapsed mode only;
-	// exact-mode labels are unique by construction, so no map is needed).
-	slots map[flowgraph.Label]int32
+	// tab maps a label to its arena edge slot (collapsed mode only;
+	// exact-mode labels are unique by construction, so no table is needed).
+	tab labelTable
 
 	// labels counts distinct labelled edges ever emitted; unlike the
 	// arena's live-edge count it is immune to compaction, so reports keep
@@ -45,10 +47,6 @@ type builder struct {
 	exact  bool
 	serial uint64
 
-	// canonVal maps a site label to its canonical value pair (collapsed
-	// mode only).
-	canonVal map[flowgraph.Label]valPair
-
 	// attrib records, per final edge label, which secret-stream bytes fed
 	// the Source edges emitted under that label (Options.AttributeSources
 	// mode; nil otherwise). It is keyed on the label as stored in the
@@ -57,10 +55,6 @@ type builder struct {
 	attrib map[flowgraph.Label][]flowgraph.SourceContrib
 
 	implicitEdges int
-}
-
-type valPair struct {
-	in, out int32
 }
 
 func newBuilder(exact, attribute bool) *builder {
@@ -72,8 +66,6 @@ func newBuilder(exact, attribute bool) *builder {
 	b.sinkEl = 1
 	if !exact {
 		b.uf = unionfind.New(2) // elements 0,1 mirror the terminal nodes
-		b.slots = map[flowgraph.Label]int32{}
-		b.canonVal = map[flowgraph.Label]valPair{}
 	}
 	if attribute {
 		b.attrib = map[flowgraph.Label][]flowgraph.SourceContrib{}
@@ -103,14 +95,15 @@ func (b *builder) addEdge(from, to int32, cap int64, lbl flowgraph.Label) {
 		b.labels++
 		return
 	}
-	if slot, ok := b.slots[lbl]; ok {
-		b.ar.Accumulate(slot, cap)
-		ef, et := b.ar.EdgeEnds(slot)
+	slot, ok := b.tab.lookup(lbl)
+	if ok {
+		b.ar.Accumulate(*slot, cap)
+		ef, et := b.ar.EdgeEnds(*slot)
 		b.uf.Union(int(ef), int(from))
 		b.uf.Union(int(et), int(to))
 		return
 	}
-	b.slots[lbl] = b.ar.AddEdge(from, to, cap, lbl)
+	*slot = b.ar.AddEdge(from, to, cap, lbl)
 	b.labels++
 }
 
@@ -118,27 +111,15 @@ func (b *builder) addEdge(from, to int32, cap int64, lbl flowgraph.Label) {
 // the emitting byte's secret-stream offset when attribution is enabled.
 // streamOff < 0 marks an unattributed byte (memory marked secret with no
 // stream position); every class view then keeps its capacity. Attribution
-// is recorded against the label as finally stored — in exact mode that is
-// the post-serial label, which addEdge would otherwise hide — which is why
-// this cannot be layered on top of addEdge from the tracker.
+// is recorded against the label as finally stored: in exact mode that is
+// the serial stamp addEdge just gave the edge.
 func (b *builder) addSourceEdge(to int32, cap int64, lbl flowgraph.Label, streamOff int) {
+	b.addEdge(b.srcEl, to, cap, lbl)
 	if b.attrib == nil {
-		b.addEdge(b.srcEl, to, cap, lbl)
 		return
 	}
 	if b.exact {
-		b.serial++
 		lbl.Ctx = b.serial
-		b.ar.AddEdge(b.srcEl, to, cap, lbl)
-		b.labels++
-	} else if slot, ok := b.slots[lbl]; ok {
-		b.ar.Accumulate(slot, cap)
-		ef, et := b.ar.EdgeEnds(slot)
-		b.uf.Union(int(ef), int(b.srcEl))
-		b.uf.Union(int(et), int(to))
-	} else {
-		b.slots[lbl] = b.ar.AddEdge(b.srcEl, to, cap, lbl)
-		b.labels++
 	}
 	b.attrib[lbl] = append(b.attrib[lbl], flowgraph.SourceContrib{Off: streamOff, Bits: cap})
 }
@@ -148,28 +129,39 @@ func (b *builder) addSourceEdge(to int32, cap int64, lbl flowgraph.Label, stream
 // edge. Producers attach edges to in; consumers read from out.
 func (b *builder) value(lbl flowgraph.Label, capBits int64) (in, out int32) {
 	lbl.Kind = flowgraph.KindInternal
-	if !b.exact {
-		if vp, ok := b.canonVal[lbl]; ok {
-			b.ar.Accumulate(b.slots[lbl], capBits)
-			return vp.in, vp.out
-		}
+	if b.exact {
+		in, out = b.element(), b.element()
+		b.addEdge(in, out, capBits, lbl)
+		return in, out
 	}
-	in = b.element()
-	out = b.element()
-	b.addEdge(in, out, capBits, lbl)
-	if !b.exact {
-		b.canonVal[lbl] = valPair{in: in, out: out}
+	slot, ok := b.tab.lookup(lbl)
+	if ok {
+		b.ar.Accumulate(*slot, capBits)
+		return b.ar.EdgeEnds(*slot)
 	}
+	in, out = b.element(), b.element()
+	*slot = b.ar.AddEdge(in, out, capBits, lbl)
+	b.labels++
 	return in, out
 }
 
 // compact runs an in-place series-parallel compaction pass over the arena.
 // protected must cover every element the tracker can still attach edges to;
 // see Tracker.MaybeCompact for the safety argument. Exact mode only: the
-// collapsed builder's label and canonical-value maps hold slot and element
-// references that compaction would invalidate.
+// collapsed builder's label table holds slot references that compaction
+// would invalidate, and value relies on internal edges never moving.
 func (b *builder) compact(protected []bool) {
 	b.ar.CompactSP(protected)
+}
+
+// reset readies the builder for an unrelated execution: a fresh arena and
+// union-find, and the label table emptied in place so that pooled trackers
+// pay no per-run allocation for it.
+func (b *builder) reset() {
+	tab := b.tab
+	tab.reset()
+	*b = *newBuilder(b.exact, b.attrib != nil)
+	b.tab = tab
 }
 
 // build assembles the current state into a flowgraph. It does not consume

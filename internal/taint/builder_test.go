@@ -132,3 +132,24 @@ func TestBuilderRebuildIsStable(t *testing.T) {
 		t.Fatalf("flows differ: %d vs %d", f1, f2)
 	}
 }
+
+// ResetAll keeps the collapsed builder's label table storage and empties
+// it: pooled sessions reset on every run and must not reallocate it.
+func TestResetAllKeepsLabelTable(t *testing.T) {
+	tr := New(Options{})
+	for i := 0; i < 300; i++ { // past the first growth
+		tr.b.value(lbl(uint32(i), 0, flowgraph.KindInternal), 8)
+	}
+	ents := &tr.b.tab.ents[0]
+	tr.ResetAll()
+	if &tr.b.tab.ents[0] != ents {
+		t.Fatal("ResetAll reallocated the label table")
+	}
+	if tr.b.tab.n != 0 || tr.b.labels != 0 || tr.b.ar.NumNodes() != 3 { // Source, Sink, chain head
+		t.Fatalf("after ResetAll: %d table entries, %d labels, %d nodes", tr.b.tab.n, tr.b.labels, tr.b.ar.NumNodes())
+	}
+	in, out := tr.b.value(lbl(5, 0, flowgraph.KindInternal), 8)
+	if in != 3 || out != 4 {
+		t.Fatalf("first value after ResetAll = (%d, %d), want fresh nodes (3, 4)", in, out)
+	}
+}

@@ -13,7 +13,6 @@ package taint
 
 import (
 	"fmt"
-	"sort"
 
 	"flowcheck/internal/bits"
 	"flowcheck/internal/flowgraph"
@@ -135,23 +134,17 @@ type regionState struct {
 
 	// auto records written-but-undeclared locations for the dynamic
 	// soundness check. Stack writes within the current frame (between SP
-	// and BP at write time) are coalesced into one min/max range so loops
-	// don't pay a map operation per byte; the live part (at or above SP at
-	// leave) is retagged. Data-segment and above-frame writes are tracked
-	// exactly.
-	auto         map[vm.Word]bool // non-stack writes
-	stackLo      vm.Word          // frame-write range (stackLo < stackHi)
-	stackHi      vm.Word
-	autoOverflow bool
-	autoLo       vm.Word
-	autoHi       vm.Word
+	// and BP at write time) are coalesced into one min/max range; the live
+	// part (at or above SP at leave) is retagged. Data-segment and
+	// above-frame writes are tracked exactly in a page bitmap.
+	auto    autoSet // non-stack writes
+	stackLo vm.Word // frame-write range (stackLo < stackHi)
+	stackHi vm.Word
 
 	// lastDecl caches the index of the declared range the previous write
 	// hit: loops write the same output ranges repeatedly.
 	lastDecl int
 }
-
-const autoTrackLimit = 4096
 
 // Tracker implements vm.Tracer.
 type Tracker struct {
@@ -249,7 +242,7 @@ func (t *Tracker) SetProbe(p Probe) { t.probe = p }
 // graphs offline, by label.
 func (t *Tracker) ResetAll() {
 	t.Reset()
-	t.b = newBuilder(t.opts.Exact, t.opts.AttributeSources)
+	t.b.reset()
 	t.chainEl = t.b.element()
 	t.compactAt = t.opts.Compact
 	clear(t.regionCanon)
@@ -371,8 +364,13 @@ func (t *Tracker) warnf(site uint32, format string, args ...interface{}) {
 	if len(t.warnings) >= t.opts.MaxWarnings {
 		return
 	}
-	loc := fmt.Sprintf("pc=%d", t.m.PC)
-	if t.m != nil && t.m.Prog != nil {
+	var loc string
+	switch {
+	case t.m == nil: // no machine attached: only the site is known
+		loc = fmt.Sprintf("site=%d", site)
+	case t.m.Prog == nil:
+		loc = fmt.Sprintf("pc=%d", t.m.PC)
+	default:
 		loc = t.m.Prog.SiteString(site)
 	}
 	t.warnings = append(t.warnings, Warning{Site: loc, Msg: fmt.Sprintf(format, args...)})
@@ -838,7 +836,6 @@ func (t *Tracker) EnterRegion(site uint32, outputs []vm.Range) {
 		el:       el,
 		declared: outputs,
 		enterPC:  uint32(t.m.PC),
-		auto:     map[vm.Word]bool{},
 	})
 }
 
@@ -850,24 +847,13 @@ func (t *Tracker) regionWrite(addr vm.Word, n int) {
 		return
 	}
 	r := t.regions[len(t.regions)-1]
+	inside, clear := r.classify(addr, n)
+	if inside {
+		return
+	}
 	for i := 0; i < n; i++ {
 		a := addr + vm.Word(i)
-		declared := false
-		if li := r.lastDecl; li < len(r.declared) {
-			if d := r.declared[li]; a >= d.Addr && a < d.Addr+d.Len {
-				declared = true
-			}
-		}
-		if !declared {
-			for di, d := range r.declared {
-				if a >= d.Addr && a < d.Addr+d.Len {
-					declared = true
-					r.lastDecl = di
-					break
-				}
-			}
-		}
-		if declared {
+		if !clear && r.declares(a) {
 			continue
 		}
 		if sp := t.m.Regs[vm.SP]; a >= sp && a < t.m.Regs[vm.BP] {
@@ -884,30 +870,45 @@ func (t *Tracker) regionWrite(addr vm.Word, n int) {
 			}
 			continue
 		}
-		if r.autoOverflow {
-			if a < r.autoLo {
-				r.autoLo = a
-			}
-			if a >= r.autoHi {
-				r.autoHi = a + 1
-			}
-			continue
-		}
-		r.auto[a] = true
-		if len(r.auto) > autoTrackLimit {
-			// Coalesce the exact set into a single covering range.
-			r.autoOverflow = true
-			r.autoLo, r.autoHi = a, a+1
-			for b := range r.auto {
-				if b < r.autoLo {
-					r.autoLo = b
-				}
-				if b >= r.autoHi {
-					r.autoHi = b + 1
-				}
-			}
+		r.auto.add(a)
+	}
+}
+
+// classify places the write [addr, addr+n) against the declared outputs
+// once, so the per-byte scan runs only for writes that straddle a range
+// edge: inside reports that one range holds the whole write, clear that no
+// range meets it. A write that wraps the address space reports neither.
+func (r *regionState) classify(addr vm.Word, n int) (inside, clear bool) {
+	last := addr + vm.Word(n-1)
+	if n <= 0 || last < addr {
+		return false, false
+	}
+	if li := r.lastDecl; li < len(r.declared) {
+		if d := r.declared[li]; addr >= d.Addr && last < d.Addr+d.Len {
+			return true, false // loops rewrite the same outputs
 		}
 	}
+	clear = true
+	for di, d := range r.declared {
+		if addr >= d.Addr && last < d.Addr+d.Len {
+			r.lastDecl = di
+			return true, false
+		}
+		if s := max(addr, d.Addr); s <= last && s < d.Addr+d.Len {
+			clear = false
+		}
+	}
+	return false, clear
+}
+
+// declares reports whether address a lies in a declared output.
+func (r *regionState) declares(a vm.Word) bool {
+	for _, d := range r.declared {
+		if a >= d.Addr && a < d.Addr+d.Len {
+			return true
+		}
+	}
+	return false
 }
 
 // LeaveRegion implements vm.Tracer: the paper's ENTER/LEAVE pair's second
@@ -986,33 +987,13 @@ func (t *Tracker) autoRanges(r *regionState) []vm.Range {
 			lo = sp
 		}
 		if hi > lo {
-			t.stats.AutoOutputs += int(hi - lo)
 			out = append(out, vm.Range{Addr: lo, Len: hi - lo})
 		}
 	}
-	if r.autoOverflow {
-		t.stats.AutoOutputs += int(r.autoHi - r.autoLo)
-		return append(out, vm.Range{Addr: r.autoLo, Len: r.autoHi - r.autoLo})
+	out = r.auto.ranges(out)
+	for _, rng := range out {
+		t.stats.AutoOutputs += int(rng.Len)
 	}
-	addrs := make([]vm.Word, 0, len(r.auto))
-	for a := range r.auto {
-		addrs = append(addrs, a)
-	}
-	if len(addrs) == 0 {
-		return out
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	start, n := addrs[0], vm.Word(1)
-	for _, a := range addrs[1:] {
-		if a == start+n {
-			n++
-			continue
-		}
-		out = append(out, vm.Range{Addr: start, Len: n})
-		start, n = a, 1
-	}
-	out = append(out, vm.Range{Addr: start, Len: n})
-	t.stats.AutoOutputs += len(addrs)
 	return out
 }
 

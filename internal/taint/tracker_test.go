@@ -313,3 +313,13 @@ int main() {
 		t.Fatalf("warning site %q lacks source location", res.Warnings[0].Site)
 	}
 }
+
+// A tracker with no machine attached must warn, not panic, on an unmatched
+// leave: warnf names the site when there is no PC to report.
+func TestLeaveRegionWithoutMachine(t *testing.T) {
+	tr := taint.New(taint.Options{})
+	tr.LeaveRegion(0)
+	if w := tr.Warnings(); len(w) != 1 || w[0].Site != "site=0" {
+		t.Fatalf("warnings = %v, want one at site=0", w)
+	}
+}

@@ -1,13 +1,8 @@
-package core
+package flowcheck
 
 import (
 	"strings"
 	"testing"
-
-	"flowcheck/internal/lang"
-	"flowcheck/internal/maxflow"
-	"flowcheck/internal/taint"
-	"flowcheck/internal/vm"
 )
 
 func analyze(t *testing.T, src string, in Inputs, cfg Config) *Result {
@@ -265,7 +260,7 @@ func TestFigure2TaintingBound(t *testing.T) {
 func TestFigure2ExactMode(t *testing.T) {
 	in := "one. two. three? four. five. six? seven. eight. nine? ten. eleven. twelve?"
 	res := analyze(t, countPunctSrc, Inputs{Secret: []byte(in)},
-		Config{Taint: taint.Options{Exact: true}})
+		Config{Taint: TaintOptions{Exact: true}})
 	if res.Bits != 9 {
 		t.Fatalf("exact-mode bits = %d, want 9; cut: %s", res.Bits, res.CutString())
 	}
@@ -277,7 +272,7 @@ func TestFigure2ExactMode(t *testing.T) {
 func TestFigure2UnaryCutOnShortRun(t *testing.T) {
 	in := "one. two. three? four." // 3 dots, 1 question mark
 	res := analyze(t, countPunctSrc, Inputs{Secret: []byte(in)},
-		Config{Taint: taint.Options{Exact: true}})
+		Config{Taint: TaintOptions{Exact: true}})
 	if string(res.Output) != "..." {
 		t.Fatalf("output = %q", res.Output)
 	}
@@ -292,7 +287,7 @@ func TestFigure2UnaryCutOnShortRun(t *testing.T) {
 func TestFigure2ContextSensitive(t *testing.T) {
 	in := "one. two. three? four. five. six? seven. eight. nine? ten. eleven. twelve?"
 	res := analyze(t, countPunctSrc, Inputs{Secret: []byte(in)},
-		Config{Taint: taint.Options{ContextSensitive: true}})
+		Config{Taint: TaintOptions{ContextSensitive: true}})
 	if res.Bits != 9 {
 		t.Fatalf("ctx-sensitive bits = %d, want 9", res.Bits)
 	}
@@ -403,7 +398,7 @@ int main() {
 	for _, n := range []byte{0, 1, 3, 200} {
 		inputs = append(inputs, Inputs{Secret: []byte{n}})
 	}
-	res, err := AnalyzeMulti(prog, inputs, Config{})
+	res, err := NewAnalyzer(prog, Config{}).AnalyzeMulti(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +444,7 @@ int main() {
     return 0;
 }`
 	res := analyze(t, src, Inputs{Secret: []byte("q")},
-		Config{Taint: taint.Options{WarnImplicit: true}})
+		Config{Taint: TaintOptions{WarnImplicit: true}})
 	found := false
 	for _, w := range res.Warnings {
 		if strings.Contains(w.Msg, "implicit flow") {
@@ -514,19 +509,9 @@ func TestGraphValidates(t *testing.T) {
 	}
 }
 
-// Edmonds-Karp agrees with Dinic on a real analysis graph.
-func TestAlgorithmsAgreeOnRealGraph(t *testing.T) {
-	in := "a. b? c."
-	r1 := analyze(t, countPunctSrc, Inputs{Secret: []byte(in)}, Config{})
-	r2 := analyze(t, countPunctSrc, Inputs{Secret: []byte(in)}, Config{Algorithm: maxflow.EdmondsKarp})
-	if r1.Bits != r2.Bits {
-		t.Fatalf("dinic %d != edmonds-karp %d", r1.Bits, r2.Bits)
-	}
-}
-
-func mustCompile(t *testing.T, src string) *vm.Program {
+func mustCompile(t *testing.T, src string) *Program {
 	t.Helper()
-	p, err := lang.Compile("test.mc", src)
+	p, err := Compile("test.mc", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,10 +537,11 @@ int main() {
 		{Name: "alice", Off: 0, Len: 1},
 		{Name: "bob", Off: 1, Len: 1},
 	}
-	per, err := AnalyzeClasses(prog, in, classes, Config{})
+	ca, err := AnalyzeClassSet(prog, in, classes, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	per := ca.Classes
 	for _, c := range per {
 		if c.Bits != 8 {
 			t.Errorf("class %s = %d bits, want 8", c.Class.Name, c.Bits)
@@ -583,13 +569,14 @@ int main() {
     return 0;
 }`
 	prog := mustCompile(t, src)
-	per, err := AnalyzeClasses(prog, Inputs{Secret: []byte("wxyz")}, []SecretClass{
+	ca, err := AnalyzeClassSet(prog, Inputs{Secret: []byte("wxyz")}, []SecretClass{
 		{Name: "used", Off: 0, Len: 1},
 		{Name: "unused", Off: 2, Len: 2},
 	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	per := ca.Classes
 	if per[0].Bits != 8 || per[1].Bits != 0 {
 		t.Fatalf("per-class = %d/%d, want 8/0", per[0].Bits, per[1].Bits)
 	}

@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"flowcheck/internal/check"
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/experiments"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/lang"
@@ -25,11 +25,11 @@ import (
 // --------------------------------------------------- per-figure benchmarks ---
 
 func BenchmarkFig2CountPunct(b *testing.B) {
-	in := core.Inputs{Secret: []byte(experiments.Fig2Input)}
+	in := Inputs{Secret: []byte(experiments.Fig2Input)}
 	prog := guest.Program("count_punct")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Analyze(prog, in, core.Config{})
+		res, err := Analyze(prog, in, Config{})
 		if err != nil || res.Bits != 9 {
 			b.Fatalf("bits=%d err=%v", res.Bits, err)
 		}
@@ -37,13 +37,13 @@ func BenchmarkFig2CountPunct(b *testing.B) {
 }
 
 func benchCompress(b *testing.B, n int, opts taint.Options) {
-	in := core.Inputs{Secret: workload.PiWords(n)}
+	in := Inputs{Secret: workload.PiWords(n)}
 	prog := guest.Program("compress")
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(prog, in, core.Config{Taint: opts}); err != nil {
+		if _, err := Analyze(prog, in, Config{Taint: opts}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkFig4Battleship(b *testing.B) {
 	public := workload.BattleshipShots(0, [][2]byte{{0, 0}, {5, 5}, {9, 9}})
 	prog := guest.Program("battleship")
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(prog, core.Inputs{Secret: secret, Public: public}, core.Config{}); err != nil {
+		if _, err := Analyze(prog, Inputs{Secret: secret, Public: public}, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkFig4SSH(b *testing.B) {
 	in := experiments.SSHInputs()
 	prog := guest.Program("sshauth")
 	for i := 0; i < b.N; i++ {
-		res, err := core.Analyze(prog, in, core.Config{})
+		res, err := Analyze(prog, in, Config{})
 		if err != nil || res.Bits != 128 {
 			b.Fatalf("bits=%d err=%v", res.Bits, err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkFig5Transforms(b *testing.B) {
 	}{{"Pixelate", 0}, {"Blur", 1}, {"Swirl", 2}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(prog, core.Inputs{Secret: img, Public: []byte{mode.m}}, core.Config{}); err != nil {
+				if _, err := Analyze(prog, Inputs{Secret: img, Public: []byte{mode.m}}, Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,9 +94,9 @@ func BenchmarkFig5Transforms(b *testing.B) {
 
 func BenchmarkTab4Calendar(b *testing.B) {
 	prog := guest.Program("calendar")
-	in := core.Inputs{Secret: []byte{1, 20, 24}, Public: []byte{1, 9, 18}}
+	in := Inputs{Secret: []byte{1, 20, 24}, Public: []byte{1, 9, 18}}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(prog, in, core.Config{}); err != nil {
+		if _, err := Analyze(prog, in, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkTab4XServer(b *testing.B) {
 	text := []byte("Hello, world!")
 	secret := append(append(make([]byte, 32), byte(len(text))), text...)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(prog, core.Inputs{Secret: secret, Public: []byte{0}}, core.Config{}); err != nil {
+		if _, err := Analyze(prog, Inputs{Secret: secret, Public: []byte{0}}, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,9 +120,9 @@ func BenchmarkTab6Inference(b *testing.B) {
 }
 
 func BenchmarkSPReduction(b *testing.B) {
-	res, err := core.Analyze(guest.Program("compress"),
-		core.Inputs{Secret: workload.PiWords(1024)},
-		core.Config{Taint: taint.Options{Exact: true}})
+	res, err := Analyze(guest.Program("compress"),
+		Inputs{Secret: workload.PiWords(1024)},
+		Config{Taint: taint.Options{Exact: true}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func BenchmarkAblationContextSensitive(b *testing.B) {
 // epoch passes trade CPU for a bounded live graph (Result.Mem reports the
 // peak). The flow bound is identical either way.
 func BenchmarkCompaction(b *testing.B) {
-	in := core.Inputs{Secret: workload.PiWords(2048)}
+	in := Inputs{Secret: workload.PiWords(2048)}
 	prog := guest.Program("compress")
 	for _, c := range []struct {
 		name    string
@@ -161,7 +161,7 @@ func BenchmarkCompaction(b *testing.B) {
 			b.SetBytes(2048)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Analyze(prog, in, core.Config{
+				res, err := Analyze(prog, in, Config{
 					Taint: taint.Options{Exact: true}, Compact: c.compact,
 				})
 				if err != nil {
@@ -199,10 +199,10 @@ func benchLazy(b *testing.B, opts taint.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := core.Inputs{Secret: []byte{100}}
+	in := Inputs{Secret: []byte{100}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(prog, in, core.Config{Taint: opts}); err != nil {
+		if _, err := Analyze(prog, in, Config{Taint: opts}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,9 +215,9 @@ func BenchmarkAblationLazyRegionsOff(b *testing.B) { benchLazy(b, taint.Options{
 // 512-byte run has ~100k edges — large enough to show Edmonds-Karp's
 // superlinear behavior without stalling the suite.
 func BenchmarkMaxflowAlgorithms(b *testing.B) {
-	res, err := core.Analyze(guest.Program("compress"),
-		core.Inputs{Secret: workload.PiWords(512)},
-		core.Config{Taint: taint.Options{Exact: true}})
+	res, err := Analyze(guest.Program("compress"),
+		Inputs{Secret: workload.PiWords(512)},
+		Config{Taint: taint.Options{Exact: true}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 	for i := range inputs {
 		inputs[i] = Inputs{Secret: workload.PiWords(768 + 64*i)}
 	}
-	want, err := AnalyzeMulti(prog, inputs, Config{})
+	want, err := NewAnalyzer(prog, Config{}).AnalyzeMulti(inputs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 	})
 	b.Run("Multi", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := AnalyzeMulti(prog, inputs, Config{}); err != nil {
+			if _, err := NewAnalyzer(prog, Config{}).AnalyzeMulti(inputs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -300,7 +300,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 func BenchmarkCheckingModes(b *testing.B) {
 	secret := []byte(experiments.Fig2Input)
 	prog := guest.Program("count_punct")
-	res, err := core.Analyze(prog, core.Inputs{Secret: secret}, core.Config{})
+	res, err := Analyze(prog, Inputs{Secret: secret}, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -311,14 +311,14 @@ func BenchmarkCheckingModes(b *testing.B) {
 	}
 	b.Run("PlainRun", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunPlain(prog, core.Inputs{Secret: secret}, core.Config{}); err != nil {
+			if _, err := engine.RunPlain(prog, Inputs{Secret: secret}, Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("FullAnalysis", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Analyze(prog, core.Inputs{Secret: secret}, core.Config{}); err != nil {
+			if _, err := Analyze(prog, Inputs{Secret: secret}, Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}

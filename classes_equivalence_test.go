@@ -4,11 +4,12 @@ package flowcheck
 // multi-commodity class analysis: for every guest, in both graph
 // construction modes and at several worker counts, the shared path (one
 // execution + per-class capacity views) must bound each class at least as
-// tightly as... no — at least as *high* as the legacy reexec oracle (one
-// execution per class with the class's ranging baked into the tracker).
+// high as the ranged oracle — the paper's §10.1 per-class bound taken
+// literally: the plain analysis with only that class's bytes marked
+// secret (Config.Taint.SecretRanges), one execution per class.
 // The shared graph is built from an all-marked run, so it is an edge
 // superset of any single-class graph with at-least-merged endpoints;
-// max flow is monotone in capacities, hence shared >= reexec per class is
+// max flow is monotone in capacities, hence shared >= ranged per class is
 // the invariant (exactness is not promised when rangings interact with
 // the collapsed graph's label merging, but in practice the corpus agrees
 // bit-for-bit — asserted when it holds structurally: a single class
@@ -19,27 +20,45 @@ package flowcheck
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
-	"flowcheck/internal/core"
 	"flowcheck/internal/engine"
 	"flowcheck/internal/guest"
+	"flowcheck/internal/stagecache"
 	"flowcheck/internal/taint"
 )
 
-// corpusClasses splits a secret into three contiguous classes (uneven on
-// purpose: a short prefix, a middle, and the tail).
-func corpusClasses(n int) []core.SecretClass {
-	a := n / 4
-	b := n / 2
-	return []core.SecretClass{
-		{Name: "prefix", Off: 0, Len: a},
-		{Name: "middle", Off: a, Len: b - a},
-		{Name: "tail", Off: b, Len: n - b},
-	}
+// rangedClass is the oracle: the plain analysis of in with only class c's
+// bytes marked secret.
+func rangedClass(prog *Program, in Inputs, c SecretClass, cfg Config) (*Result, error) {
+	cfg.Taint.SecretRanges = []taint.StreamRange{{Off: c.Off, Len: c.Len}}
+	return Analyze(prog, in, cfg)
 }
 
-// TestClassSoundnessCorpus checks shared-vs-reexec on every guest, both
+// corpusClasses splits a secret of n bytes into three contiguous classes
+// (uneven on purpose: a short prefix, a middle, and the tail) when it is
+// long enough, then adds the edge cases every secret gets: an empty class,
+// one wholly past the end, one straddling the end, and one whose Len is
+// math.MaxInt (Off+Len overflows).
+func corpusClasses(n int) []SecretClass {
+	var out []SecretClass
+	if n >= 4 {
+		a := n / 4
+		b := n / 2
+		out = append(out,
+			SecretClass{Name: "prefix", Off: 0, Len: a},
+			SecretClass{Name: "middle", Off: a, Len: b - a},
+			SecretClass{Name: "tail", Off: b, Len: n - b})
+	}
+	return append(out,
+		SecretClass{Name: "empty", Off: n / 2, Len: 0},
+		SecretClass{Name: "past-end", Off: n + 4, Len: 4},
+		SecretClass{Name: "straddle-end", Off: n - 1, Len: 8},
+		SecretClass{Name: "maxint", Off: 1, Len: math.MaxInt})
+}
+
+// TestClassSoundnessCorpus checks shared-vs-ranged on every guest, both
 // graph modes, serial and parallel class solving.
 func TestClassSoundnessCorpus(t *testing.T) {
 	for _, name := range guest.Names() {
@@ -55,22 +74,21 @@ func TestClassSoundnessCorpus(t *testing.T) {
 				if !ok {
 					t.Fatalf("no sample inputs for %q", name)
 				}
-				if len(secret) < 4 {
-					t.Skipf("secret too short (%d bytes) to split into classes", len(secret))
-				}
 				prog := guest.Program(name)
-				in := core.Inputs{Secret: secret, Public: public}
+				in := Inputs{Secret: secret, Public: public}
 				classes := corpusClasses(len(secret))
-				base := core.Config{Taint: taint.Options{Exact: exact}}
+				base := Config{Taint: taint.Options{Exact: exact}}
 
-				oracleCfg := base
-				oracleCfg.ClassMode = core.ClassModeReexec
-				oracle, err := core.AnalyzeClassSet(prog, in, classes, oracleCfg)
-				if err != nil {
-					t.Fatalf("reexec oracle: %v", err)
+				oracle := make([]*Result, len(classes))
+				for i, c := range classes {
+					r, err := rangedClass(prog, in, c, base)
+					if err != nil {
+						t.Fatalf("ranged oracle, class %q: %v", c.Name, err)
+					}
+					oracle[i] = r
 				}
 
-				joint, err := core.Analyze(prog, in, base)
+				joint, err := Analyze(prog, in, base)
 				if err != nil {
 					t.Fatalf("joint analyze: %v", err)
 				}
@@ -78,7 +96,7 @@ func TestClassSoundnessCorpus(t *testing.T) {
 				for _, workers := range []int{1, 3} {
 					cfg := base
 					cfg.Workers = workers
-					shared, err := core.AnalyzeClassSet(prog, in, classes, cfg)
+					shared, err := AnalyzeClassSet(prog, in, classes, cfg)
 					if err != nil {
 						t.Fatalf("shared (workers=%d): %v", workers, err)
 					}
@@ -86,15 +104,14 @@ func TestClassSoundnessCorpus(t *testing.T) {
 						t.Errorf("workers=%d: shared path performed %d executions, want exactly 1", workers, shared.Executions)
 					}
 					for i, cr := range shared.Classes {
-						or := oracle.Classes[i]
-						if cr.Err != nil || or.Err != nil {
-							t.Fatalf("class %q failed: shared=%v reexec=%v", cr.Class.Name, cr.Err, or.Err)
+						if cr.Err != nil {
+							t.Fatalf("class %q failed: %v", cr.Class.Name, cr.Err)
 						}
 						// The soundness invariant: a shared-view class bound
 						// never undercuts the per-class oracle.
-						if cr.Bits < or.Bits {
-							t.Errorf("workers=%d class %q: shared bound %d < reexec oracle %d (unsound)",
-								workers, cr.Class.Name, cr.Bits, or.Bits)
+						if or := oracle[i].Bits; cr.Bits < or {
+							t.Errorf("workers=%d class %q: shared bound %d < ranged oracle %d (unsound)",
+								workers, cr.Class.Name, cr.Bits, or)
 						}
 						// No class can reveal more than the joint execution.
 						if cr.Bits > joint.Bits {
@@ -107,6 +124,41 @@ func TestClassSoundnessCorpus(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestClassHugeLenMatchesInRange pins the overflow case: a class whose
+// Off+Len exceeds math.MaxInt covers every byte from Off onward, so both
+// the shared path and the ranged oracle must report what the in-range
+// spelling of the same bytes reports.
+func TestClassHugeLenMatchesInRange(t *testing.T) {
+	for _, name := range []string{"count_punct", "calendar", "sshauth"} {
+		secret, public, ok := guest.SampleInputs(name)
+		if !ok {
+			t.Fatalf("no sample inputs for %q", name)
+		}
+		prog := guest.Program(name)
+		in := Inputs{Secret: secret, Public: public}
+		huge := SecretClass{Name: "huge", Off: 1, Len: math.MaxInt}
+		exact := SecretClass{Name: "exact", Off: 1, Len: len(secret) - 1}
+		ca, err := AnalyzeClassSet(prog, in, []SecretClass{huge, exact}, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if h, e := ca.Classes[0].Bits, ca.Classes[1].Bits; e == 0 || h != e {
+			t.Errorf("%s shared: [1, MaxInt) = %d bits, [1, %d) = %d bits; want equal and nonzero", name, h, len(secret), e)
+		}
+		rh, err := rangedClass(prog, in, huge, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := rangedClass(prog, in, exact, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Bits == 0 || rh.Bits != re.Bits {
+			t.Errorf("%s ranged: [1, MaxInt) = %d bits, [1, %d) = %d bits; want equal and nonzero", name, rh.Bits, len(secret), re.Bits)
 		}
 	}
 }
@@ -125,14 +177,14 @@ func TestClassFullRangeMatchesPlainAnalysis(t *testing.T) {
 				t.Fatalf("no sample inputs for %q", name)
 			}
 			prog := guest.Program(name)
-			in := core.Inputs{Secret: secret, Public: public}
-			all := []core.SecretClass{{Name: "all", Off: 0, Len: len(secret)}}
+			in := Inputs{Secret: secret, Public: public}
+			all := []SecretClass{{Name: "all", Off: 0, Len: len(secret)}}
 
-			plain, err := core.Analyze(prog, in, core.Config{})
+			plain, err := Analyze(prog, in, Config{})
 			if err != nil {
 				t.Fatalf("plain: %v", err)
 			}
-			ca, err := core.AnalyzeClassSet(prog, in, all, core.Config{})
+			ca, err := AnalyzeClassSet(prog, in, all, Config{})
 			if err != nil {
 				t.Fatalf("class set: %v", err)
 			}
@@ -160,7 +212,7 @@ func TestClassSharedSingleExecution(t *testing.T) {
 		{Name: "q2", Off: 32, Len: 16},
 		{Name: "q3", Off: 48, Len: 16},
 	}
-	cache := core.NewCache(core.CacheOptions{})
+	cache := stagecache.New(stagecache.Options{})
 	a := engine.New(guest.Program("sshauth"), engine.Config{Workers: 4, Cache: cache})
 
 	ca, err := a.AnalyzeClassSet(in, classes)

@@ -21,13 +21,13 @@ import (
 	"fmt"
 	"log"
 
-	"flowcheck/internal/core"
+	"flowcheck"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/workload"
 )
 
 func main() {
-	in := core.Inputs{
+	in := flowcheck.Inputs{
 		Secret: workload.CalendarSecret([]workload.Appointment{
 			{StartSlot: 20, EndSlot: 24}, // Alice: 10:00-12:00
 			{StartSlot: 30, EndSlot: 33}, // Bob:   15:00-16:30
@@ -36,11 +36,11 @@ func main() {
 	}
 	prog := guest.Program("calendar")
 
-	classes := []core.SecretClass{
+	classes := []flowcheck.SecretClass{
 		{Name: "alice", Off: 1, Len: 2},
 		{Name: "bob", Off: 3, Len: 2},
 	}
-	ca, err := core.AnalyzeClassSet(prog, in, classes, core.Config{})
+	ca, err := flowcheck.AnalyzeClassSet(prog, in, classes, flowcheck.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

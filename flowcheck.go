@@ -25,11 +25,9 @@
 package flowcheck
 
 import (
-	"context"
-
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/lang"
-	"flowcheck/internal/maxflow"
+	"flowcheck/internal/static"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
@@ -37,11 +35,11 @@ import (
 // Re-exported types: the analyzer configuration and results.
 type (
 	// Config controls an analysis run.
-	Config = core.Config
+	Config = engine.Config
 	// Inputs is the secret/public input pair of one execution.
-	Inputs = core.Inputs
+	Inputs = engine.Inputs
 	// Result reports the measured flow, the graph, and the minimum cut.
-	Result = core.Result
+	Result = engine.Result
 	// TaintOptions configures the tracker (collapsing, context
 	// sensitivity, lazy-region limits, diagnostics).
 	TaintOptions = taint.Options
@@ -49,57 +47,62 @@ type (
 	Program = vm.Program
 	// Analyzer is the staged analysis engine: it binds a program to a
 	// configuration and reuses pooled sessions (guest memory, tracker,
-	// solver buffers) across runs.
-	Analyzer = core.Analyzer
+	// solver buffers) across runs. Its methods cover every call shape:
+	// context-bounded runs, the online §3.2 merge (AnalyzeMulti), and the
+	// cache lookup (Cached).
+	Analyzer = engine.Analyzer
 	// RunSummary is the per-execution record of a multi-run analysis.
-	RunSummary = core.RunSummary
+	RunSummary = engine.RunSummary
 	// StageStats is the per-stage timing breakdown of an analysis.
-	StageStats = core.StageStats
+	StageStats = engine.StageStats
 	// SecretClass names one kind of secret within the secret input (§10.1).
-	SecretClass = core.SecretClass
+	SecretClass = engine.SecretClass
 	// ClassResult is the per-class disclosure measurement.
-	ClassResult = core.ClassResult
+	ClassResult = engine.ClassResult
+	// ClassAnalysis is a class-set analysis: per-class bounds, the joint
+	// bound, and how many guest executions the call performed.
+	ClassAnalysis = engine.ClassAnalysis
 	// Budget bounds the resources one analysis run may consume
 	// (Config.Budget); the zero value is unlimited.
-	Budget = core.Budget
+	Budget = engine.Budget
 	// Finding is one static/dynamic cross-check violation reported on
 	// Result.Lint when Config.Lint is set.
-	Finding = core.Finding
+	Finding = static.Finding
 	// StaticStats summarizes the static pre-pass behind Config.Lint.
-	StaticStats = core.StaticStats
+	StaticStats = static.Stats
 	// Precision selects the ladder rung an analysis answers from
 	// (Config.Precision): a sound static bound with no execution, or the
 	// full measured solve.
-	Precision = core.Precision
+	Precision = engine.Precision
 )
 
 // Precision-ladder modes for Config.Precision, and the rung names
 // recorded in Result.Rung.
 const (
 	// PrecisionFull always runs the full dynamic solve (the default).
-	PrecisionFull = core.PrecisionFull
+	PrecisionFull = engine.PrecisionFull
 	// PrecisionTrivial answers 8·len(secret) bits with no execution.
-	PrecisionTrivial = core.PrecisionTrivial
+	PrecisionTrivial = engine.PrecisionTrivial
 	// PrecisionStatic answers the static capacity bound with no execution.
-	PrecisionStatic = core.PrecisionStatic
+	PrecisionStatic = engine.PrecisionStatic
 	// PrecisionAdaptive answers the cheapest rung whose bound is at most
 	// Config.AdaptiveThreshold bits, escalating to the full solve last.
-	PrecisionAdaptive = core.PrecisionAdaptive
+	PrecisionAdaptive = engine.PrecisionAdaptive
 
 	// RungTrivial marks an 8·len(secret) answer.
-	RungTrivial = core.RungTrivial
+	RungTrivial = engine.RungTrivial
 	// RungStatic marks a static capacity-bound answer, no execution.
-	RungStatic = core.RungStatic
+	RungStatic = engine.RungStatic
 	// RungFull marks a solved maximum flow.
-	RungFull = core.RungFull
+	RungFull = engine.RungFull
 )
 
 // ParsePrecision parses a precision name ("", "full", "trivial",
 // "static", "adaptive") into a Precision.
-func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
+func ParsePrecision(s string) (Precision, error) { return engine.ParsePrecision(s) }
 
 // TrivialBoundBits is the trivial rung's bound: 8·secretLen bits.
-func TrivialBoundBits(secretLen int) int64 { return core.TrivialBoundBits(secretLen) }
+func TrivialBoundBits(secretLen int) int64 { return engine.TrivialBoundBits(secretLen) }
 
 // The failure taxonomy: every analysis failure matches exactly one of
 // these via errors.Is. Guest traps are reported on Result.Trap (the
@@ -108,74 +111,49 @@ func TrivialBoundBits(secretLen int) int64 { return core.TrivialBoundBits(secret
 var (
 	// ErrStepLimit marks a guest that exhausted its step budget
 	// (match against Result.Trap).
-	ErrStepLimit = core.ErrStepLimit
+	ErrStepLimit = engine.ErrStepLimit
 	// ErrBudget marks a run that exceeded a resource budget.
-	ErrBudget = core.ErrBudget
+	ErrBudget = engine.ErrBudget
 	// ErrCanceled marks a run aborted by its context.
-	ErrCanceled = core.ErrCanceled
+	ErrCanceled = engine.ErrCanceled
 	// ErrInternal marks a recovered pipeline-stage panic.
-	ErrInternal = core.ErrInternal
-)
-
-// Max-flow algorithm selectors for Config.Algorithm.
-const (
-	Dinic       = maxflow.Dinic
-	EdmondsKarp = maxflow.EdmondsKarp
-	PushRelabel = maxflow.PushRelabel
+	ErrInternal = engine.ErrInternal
 )
 
 // Compile compiles MiniC source to a guest program.
 func Compile(filename, src string) (*Program, error) { return lang.Compile(filename, src) }
 
+// NewAnalyzer creates a reusable staged analyzer for p; prefer it over
+// repeated Analyze calls when analyzing many inputs of the same program.
+func NewAnalyzer(p *Program, cfg Config) *Analyzer { return engine.New(p, cfg) }
+
 // Analyze runs one execution of a compiled program under the analysis.
-func Analyze(p *Program, in Inputs, cfg Config) (*Result, error) { return core.Analyze(p, in, cfg) }
-
-// AnalyzeContext is Analyze under a context: cancellation and deadlines
-// abort the run mid-execution with ErrCanceled.
-func AnalyzeContext(ctx context.Context, p *Program, in Inputs, cfg Config) (*Result, error) {
-	return core.AnalyzeContext(ctx, p, in, cfg)
+func Analyze(p *Program, in Inputs, cfg Config) (*Result, error) {
+	return engine.New(p, cfg).Analyze(in)
 }
 
-// AnalyzeSource compiles and analyzes MiniC source in one step.
+// AnalyzeSource compiles (through the process-global compile cache) and
+// analyzes MiniC source in one step.
 func AnalyzeSource(filename, src string, in Inputs, cfg Config) (*Result, error) {
-	return core.AnalyzeSource(filename, src, in, cfg)
-}
-
-// AnalyzeMulti analyzes several executions jointly, merging their flow
-// graphs by code location for cross-run soundness (paper §3.2).
-func AnalyzeMulti(p *Program, inputs []Inputs, cfg Config) (*Result, error) {
-	return core.AnalyzeMulti(p, inputs, cfg)
+	p, err := engine.CompileCached(filename, src)
+	if err != nil {
+		return nil, err
+	}
+	return Analyze(p, in, cfg)
 }
 
 // AnalyzeBatch analyzes several executions in parallel across worker
 // sessions (cfg.Workers, default GOMAXPROCS), merging the per-run graphs
 // by code location so the joint bound keeps the cross-run soundness of
-// §3.2 — the same Bits as AnalyzeMulti, deterministic regardless of worker
-// count, but with the execution and solving fanned out.
+// §3.2. The result is deterministic regardless of worker count.
 func AnalyzeBatch(p *Program, inputs []Inputs, cfg Config) (*Result, error) {
-	return core.AnalyzeBatch(p, inputs, cfg)
+	return engine.New(p, cfg).AnalyzeBatch(inputs)
 }
 
-// AnalyzeBatchContext is AnalyzeBatch under a context. Failed runs
-// (canceled, over budget, panicking, trapped) are recorded in their
-// RunSummary.Err and excluded from the merge; the joint bound covers the
-// surviving runs, and only an all-runs failure fails the batch.
-func AnalyzeBatchContext(ctx context.Context, p *Program, inputs []Inputs, cfg Config) (*Result, error) {
-	return core.AnalyzeBatchContext(ctx, p, inputs, cfg)
+// AnalyzeClassSet measures, for each kind of secret, how much of it one
+// execution reveals (§10.1): the guest executes once and each class is a
+// capacity-view solve over the shared graph. The answer carries the
+// per-class bounds, the joint bound, and the execution count.
+func AnalyzeClassSet(p *Program, in Inputs, classes []SecretClass, cfg Config) (*ClassAnalysis, error) {
+	return engine.New(p, cfg).AnalyzeClassSet(in, classes)
 }
-
-// AnalyzeClasses measures the per-class disclosure of one execution
-// (§10.1), analyzing the classes in parallel.
-func AnalyzeClasses(p *Program, in Inputs, classes []SecretClass, cfg Config) ([]ClassResult, error) {
-	return core.AnalyzeClasses(p, in, classes, cfg)
-}
-
-// AnalyzeClassesContext is AnalyzeClasses under a context; failed classes
-// carry their typed error in ClassResult.Err.
-func AnalyzeClassesContext(ctx context.Context, p *Program, in Inputs, classes []SecretClass, cfg Config) ([]ClassResult, error) {
-	return core.AnalyzeClassesContext(ctx, p, in, classes, cfg)
-}
-
-// NewAnalyzer creates a reusable staged analyzer for p; prefer it over
-// repeated Analyze calls when analyzing many inputs of the same program.
-func NewAnalyzer(p *Program, cfg Config) *Analyzer { return core.NewAnalyzer(p, cfg) }

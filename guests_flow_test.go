@@ -10,7 +10,6 @@ package flowcheck
 import (
 	"testing"
 
-	"flowcheck/internal/core"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/taint"
 )
@@ -60,9 +59,9 @@ func TestAllGuestFlowsPinned(t *testing.T) {
 				t.Fatalf("no sample inputs for %q", tc.name)
 			}
 			prog := guest.Program(tc.name)
-			in := core.Inputs{Secret: secret, Public: public}
+			in := Inputs{Secret: secret, Public: public}
 
-			res, err := core.Analyze(prog, in, core.Config{})
+			res, err := Analyze(prog, in, Config{})
 			if err != nil {
 				t.Fatalf("collapsed: %v", err)
 			}
@@ -77,7 +76,7 @@ func TestAllGuestFlowsPinned(t *testing.T) {
 					s.LabelledEdges, s.AutoOutputs, tc.labelled, tc.autoOutputs)
 			}
 
-			res, err = core.Analyze(prog, in, core.Config{Taint: taint.Options{ContextSensitive: true}})
+			res, err = Analyze(prog, in, Config{Taint: taint.Options{ContextSensitive: true}})
 			if err != nil {
 				t.Fatalf("context-sensitive: %v", err)
 			}
@@ -86,7 +85,7 @@ func TestAllGuestFlowsPinned(t *testing.T) {
 					res.Bits, res.Graph.NumEdges(), tc.ctxBits, tc.ctxEdges)
 			}
 
-			res, err = core.Analyze(prog, in, core.Config{Taint: taint.Options{Exact: true}})
+			res, err = Analyze(prog, in, Config{Taint: taint.Options{Exact: true}})
 			if err != nil {
 				t.Fatalf("exact: %v", err)
 			}

@@ -4,19 +4,19 @@ import (
 	"strings"
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/lang"
 	"flowcheck/internal/vm"
 )
 
 // compile + analyze + return cut sites for a source.
-func cutFor(t *testing.T, src string, secret []byte) (*vm.Program, []uint32, *core.Result) {
+func cutFor(t *testing.T, src string, secret []byte) (*vm.Program, []uint32, *engine.Result) {
 	t.Helper()
 	prog, err := lang.Compile("check.mc", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(prog, core.Inputs{Secret: secret}, core.Config{})
+	res, err := engine.New(prog, engine.Config{}).Analyze(engine.Inputs{Secret: secret})
 	if err != nil {
 		t.Fatal(err)
 	}

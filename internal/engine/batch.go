@@ -187,7 +187,7 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 	// The merge and joint solve are the shared SolveJoint seam: the fleet
 	// coordinator calls the same function over shard-returned graphs, which
 	// is what makes a distributed batch bit-identical to this path.
-	jr := SolveJoint(graphs, a.cfg.Algorithm, a.cfg.Budget.SolverWork)
+	jr := SolveJoint(graphs, a.cfg.Budget.SolverWork)
 	res = jr.ToResult()
 	res.Runs = make([]RunSummary, 0, len(perRun))
 	res.prog = a.prog
@@ -223,31 +223,6 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 	agg.Total = time.Since(start) // wall time, not the sum of stage times
 	res.Stages = agg
 	return res, nil
-}
-
-// AnalyzeClasses measures, for each kind of secret, how much of it this
-// execution reveals (§10.1: "our analysis can be used independently for
-// each kind of secret"). By default (ClassModeShared) the guest executes
-// once with every secret byte marked and source attribution recorded, and
-// each class is a cheap capacity-view solve over the shared graph; with
-// Config.ClassMode = ClassModeReexec the legacy oracle re-executes once
-// per class with that class's ranging. The per-class bounds may sum to
-// more than a joint analysis reports, since the classes share output
-// capacity (the crowding-out effect the paper discusses). See
-// AnalyzeClassSet for the richer result (joint bound, execution count).
-func (a *Analyzer) AnalyzeClasses(in Inputs, classes []SecretClass) ([]ClassResult, error) {
-	return a.AnalyzeClassesContext(context.Background(), in, classes)
-}
-
-// AnalyzeClassesContext is AnalyzeClasses under a context. Class failures
-// are isolated like batch runs: a failed class carries its typed error in
-// ClassResult.Err while the other classes still report their bounds.
-func (a *Analyzer) AnalyzeClassesContext(ctx context.Context, in Inputs, classes []SecretClass) ([]ClassResult, error) {
-	ca, err := a.AnalyzeClassSetContext(ctx, in, classes)
-	if err != nil {
-		return nil, err
-	}
-	return ca.Classes, nil
 }
 
 // mergeFindings appends the findings of one run, deduplicating by kind

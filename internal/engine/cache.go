@@ -139,8 +139,8 @@ func (a *Analyzer) keys() (prog, cfg cachekey.Key) {
 // cannot change the Result are deliberately excluded: Workers and
 // SessionHighWater only shape scheduling and pooling, and Fault gates
 // cacheability instead of keying it. Everything else — resolved tracker
-// options, algorithm, machine geometry, budgets, lint — changes either the
-// bound or the diagnostics, so it keys.
+// options, machine geometry, budgets, lint — changes either the bound or
+// the diagnostics, so it keys.
 func (a *Analyzer) configKey() cachekey.Key {
 	opts := a.taintOptions()
 	h := cachekey.New("config/v1").
@@ -155,13 +155,11 @@ func (a *Analyzer) configKey() cachekey.Key {
 	for _, r := range opts.SecretRanges {
 		h.Int(int64(r.Off)).Int(int64(r.Len))
 	}
-	h.Int(int64(a.cfg.Algorithm)).
-		Int(int64(a.cfg.MemSize)).
+	h.Int(int64(a.cfg.MemSize)).
 		Uint(a.cfg.MaxSteps).
 		Bool(a.cfg.Lint).
 		Int(int64(a.cfg.Precision)).
-		Int(a.cfg.AdaptiveThreshold).
-		Str(a.cfg.ClassMode)
+		Int(a.cfg.AdaptiveThreshold)
 	b := a.cfg.Budget
 	h.Int(int64(b.MaxGraphNodes)).
 		Int(int64(b.MaxGraphEdges)).

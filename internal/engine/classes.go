@@ -2,8 +2,8 @@ package engine
 
 // Multi-commodity class analysis (paper §10.1): measure, for each kind of
 // secret, how much of it one execution reveals. Classes share topology —
-// they differ only in which Source edges carry capacity — so the default
-// path executes the guest ONCE with every secret byte marked and source
+// they differ only in which Source edges carry capacity — so the pipeline
+// executes the guest ONCE with every secret byte marked and source
 // attribution recorded (taint.Options.AttributeSources), then solves one
 // per-class capacity view per class against the shared CSR. Per-class cost
 // drops from one execution+build+solve to one solve.
@@ -18,10 +18,10 @@ package engine
 // classes' attributed source capacity, and keeps unattributed source
 // capacity (__secret-marked memory, which the ranging path also always
 // marks). Max flow is monotone in capacities, so the shared-view bound is
-// ≥ the legacy per-class-ranging bound — conservative, never under-
-// reporting. The legacy path survives as an opt-in oracle
-// (Config.ClassMode = ClassModeReexec) and the corpus-wide equivalence
-// test enforces shared ≥ reexec on every guest.
+// ≥ the per-class-ranging bound — conservative, never under-reporting.
+// The ranged bound is the plain analysis with Config.Taint.SecretRanges
+// set to the class, one execution per class; the corpus-wide equivalence
+// test runs it as the oracle and enforces shared ≥ ranged on every guest.
 
 import (
 	"context"
@@ -39,17 +39,6 @@ import (
 	"flowcheck/internal/taint"
 )
 
-// Class-analysis modes (Config.ClassMode).
-const (
-	// ClassModeShared (the default, also selected by "") executes once
-	// with source attribution and solves one capacity view per class.
-	ClassModeShared = "shared"
-	// ClassModeReexec is the legacy oracle: one full pipeline per class
-	// with that class's secret ranging baked into the graph. Kept for
-	// soundness testing; strictly N× the execution cost.
-	ClassModeReexec = "reexec"
-)
-
 // ClassAnalysis is the result of a class-set analysis.
 type ClassAnalysis struct {
 	// Classes holds the per-class measurements, in input order.
@@ -57,15 +46,11 @@ type ClassAnalysis struct {
 	// Joint is the joint (all-classes-at-once) result of the shared
 	// execution — the bound a leakage ledger should charge, since
 	// per-class bounds can sum past it (classes share sink capacity: the
-	// crowding-out effect). Nil in reexec mode, which has no joint run.
+	// crowding-out effect). Nil for an empty class set.
 	Joint *Result
 	// Executions counts guest executions this call performed: 1 for a
-	// fresh shared-mode analysis, 0 when the shared graph came from the
-	// cache, one per class in reexec mode.
+	// fresh analysis, 0 when the shared graph came from the cache.
 	Executions int
-	// Mode is the class pipeline that ran (ClassModeShared or
-	// ClassModeReexec).
-	Mode string
 }
 
 // classGraph is the shared artifact behind one (program, config, inputs)
@@ -95,11 +80,8 @@ func (a *Analyzer) AnalyzeClassSet(in Inputs, classes []SecretClass) (*ClassAnal
 // changed class set over warm inputs re-solves without re-executing — and
 // the full per-class answer by (program, config, inputs, classes).
 func (a *Analyzer) AnalyzeClassSetContext(ctx context.Context, in Inputs, classes []SecretClass) (*ClassAnalysis, error) {
-	if a.cfg.ClassMode == ClassModeReexec {
-		return a.classReexec(ctx, in, classes)
-	}
 	if len(classes) == 0 {
-		return &ClassAnalysis{Mode: ClassModeShared}, nil
+		return &ClassAnalysis{}, nil
 	}
 	if !a.cacheable() {
 		return a.classShared(ctx, in, classes)
@@ -144,35 +126,6 @@ func (a *Analyzer) AnalyzeClassSetContext(ctx context.Context, in Inputs, classe
 // the result cache without losing the partial answer.
 var errClassPartial = errors.New("engine: class analysis partially failed")
 
-// classReexec is the legacy per-class pipeline: one full execution per
-// class with that class's ranging baked into the tracker. Kept as the
-// soundness oracle for the shared path.
-func (a *Analyzer) classReexec(ctx context.Context, in Inputs, classes []SecretClass) (*ClassAnalysis, error) {
-	out := make([]ClassResult, len(classes))
-	a.fanOut(len(classes), func(s *session, i int) error {
-		c := classes[i]
-		opts := a.taintOptions()
-		opts.SecretRanges = []taint.StreamRange{{Off: c.Off, Len: c.Len}}
-		// Per-class secret rangings change the graph topology, so class
-		// runs never touch the skeleton cache.
-		res, err := a.runStages(ctx, s, taint.New(opts), in, a.cfg.Fault.Run(i), false)
-		if err != nil {
-			out[i] = ClassResult{Class: c, Err: err}
-			return err
-		}
-		out[i] = ClassResult{
-			Class: c, Bits: res.Bits, Cut: res.CutString(),
-			Rung: res.Rung, Degraded: res.Degraded, DegradedReason: res.DegradedReason,
-			Stages: res.Stages,
-		}
-		return nil
-	})
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return &ClassAnalysis{Classes: out, Executions: len(classes), Mode: ClassModeReexec}, nil
-}
-
 // classShared is the one-execution path: build (or fetch) the shared
 // attributed graph, then fan the per-class view solves across sessionless
 // workers — a solve needs only a solver, and each worker owns one.
@@ -185,7 +138,7 @@ func (a *Analyzer) classShared(ctx context.Context, in Inputs, classes []SecretC
 	out := make([]ClassResult, n)
 	var next atomic.Int64
 	work := func() {
-		solver := maxflow.NewSolver(a.cfg.Algorithm)
+		solver := maxflow.NewSolver(maxflow.Dinic)
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -214,7 +167,7 @@ func (a *Analyzer) classShared(ctx context.Context, in Inputs, classes []SecretC
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	return &ClassAnalysis{Classes: out, Joint: cg.res, Executions: executions, Mode: ClassModeShared}, nil
+	return &ClassAnalysis{Classes: out, Joint: cg.res, Executions: executions}, nil
 }
 
 // classGraphFor returns the shared class graph for in, via the cache when

@@ -33,7 +33,7 @@ func TestCompactionPreservesBitsEndToEnd(t *testing.T) {
 			prog := guest.Program(tc.guest)
 			exact := engine.Config{Taint: taint.Options{Exact: true}}
 
-			plain, err := engine.Analyze(prog, tc.in, exact)
+			plain, err := engine.New(prog, exact).Analyze(tc.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestCompactionPreservesBitsEndToEnd(t *testing.T) {
 			compacted := exact
 			compacted.Compact = tc.compact
 			compacted.Budget.CheckEvery = tc.checkEvery
-			got, err := engine.Analyze(prog, tc.in, compacted)
+			got, err := engine.New(prog, compacted).Analyze(tc.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestCompactionPreservesBitsEndToEnd(t *testing.T) {
 func TestCompactionInertOutsideExactMode(t *testing.T) {
 	prog := guest.Program("count_punct")
 	in := engine.Inputs{Secret: []byte("hello, world!")}
-	res, err := engine.Analyze(prog, in, engine.Config{Compact: 16})
+	res, err := engine.New(prog, engine.Config{Compact: 16}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestBatchAggregatesMemStats(t *testing.T) {
 
 	var wantPasses, peak int
 	for _, in := range inputs {
-		r, err := engine.Analyze(prog, in, cfg)
+		r, err := engine.New(prog, cfg).Analyze(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestBatchAggregatesMemStats(t *testing.T) {
 	if wantPasses == 0 {
 		t.Fatal("no run compacted; the aggregation check would be vacuous")
 	}
-	res, err := engine.AnalyzeBatch(prog, inputs, cfg)
+	res, err := engine.New(prog, cfg).AnalyzeBatch(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Package engine is the staged analysis pipeline behind the public core
-// API. One analysis is four explicit stages:
+// Package engine is the staged analysis pipeline behind the public
+// flowcheck API. One analysis is four explicit stages:
 //
 //	Execute  run the guest on the VM with the taint tracker attached
 //	Build    turn the tracker's union-find state into a flow network
@@ -16,9 +16,10 @@
 // On top of the single-run pipeline, AnalyzeBatch fans N executions across
 // worker sessions and merges the per-run graphs by code location
 // (internal/merge), preserving the cross-run soundness of §3.2 while
-// running executions in parallel; AnalyzeClasses does the same fan-out over
-// per-class secret rangings (§10.1). Both are deterministic: per-run graphs
-// are merged in run order, independent of worker count or scheduling.
+// running executions in parallel; AnalyzeClassSet executes once and fans
+// per-class capacity-view solves across workers (§10.1). Both are
+// deterministic: per-run graphs are merged in run order and class results
+// land in class order, independent of worker count or scheduling.
 package engine
 
 import (
@@ -45,15 +46,13 @@ type Config struct {
 	// Taint configures the tracker (collapsing, context sensitivity, lazy
 	// region limits, implicit-flow warnings).
 	Taint taint.Options
-	// Algorithm selects the max-flow algorithm (default Dinic).
-	Algorithm maxflow.Algorithm
 	// MemSize is the guest memory size (default vm.DefaultMemSize).
 	MemSize int
 	// MaxSteps bounds guest execution (default vm.DefaultMaxSteps). An
 	// exhausted step budget is a typed trap (errors.Is(res.Trap,
 	// ErrStepLimit)); the partial run is still soundly analyzable.
 	MaxSteps uint64
-	// Workers bounds the fan-out of AnalyzeBatch and AnalyzeClasses;
+	// Workers bounds the fan-out of AnalyzeBatch and AnalyzeClassSet;
 	// 0 means GOMAXPROCS. Single-run analysis ignores it.
 	Workers int
 	// Compact sets the online-compaction epoch threshold for exact-mode
@@ -92,20 +91,12 @@ type Config struct {
 	// static cache); PrecisionAdaptive runs the cheapest rung whose bound
 	// is ≤ AdaptiveThreshold and escalates to the full solve only when both
 	// cheap rungs exceed it. Rung answers set Result.Rung and
-	// Result.Degraded and carry no graph, flow, or cut. AnalyzeClasses
+	// Result.Degraded and carry no graph, flow, or cut. AnalyzeClassSet
 	// ignores Precision: per-class bounds need the per-class flows.
 	Precision Precision
 	// AdaptiveThreshold is PrecisionAdaptive's escalation threshold in
 	// bits: a cheap rung's bound at or below it is considered good enough.
 	AdaptiveThreshold int64
-	// ClassMode selects the class-analysis pipeline (see classes.go):
-	// ClassModeShared (also "" — the default) executes the guest once with
-	// all secret bytes marked and source attribution recorded, then solves
-	// one per-class capacity view per class against the shared graph;
-	// ClassModeReexec is the legacy oracle that re-executes the guest once
-	// per class with that class's secret ranging. Non-class entry points
-	// ignore it.
-	ClassMode string
 	// Cache, when non-nil, content-addresses the pipeline: single-run
 	// results are keyed by (program, config, inputs) and full hits are
 	// returned without touching a session, while the collapsed-graph
@@ -205,7 +196,7 @@ func New(prog *vm.Program, cfg Config) *Analyzer {
 		}
 		return &session{
 			m:      vm.NewMachineSize(a.prog, size),
-			solver: maxflow.NewSolver(a.cfg.Algorithm),
+			solver: maxflow.NewSolver(maxflow.Dinic),
 		}
 	}
 	return a
@@ -591,18 +582,13 @@ func (a *Analyzer) compacting() bool {
 // code location online and the final bound has the cross-run consistency of
 // §3.2. The returned result reflects the combined graph, with per-run
 // summaries in Runs; Output, ExitCode, Steps, and Trap are the last run's.
+// It is the online reference that AnalyzeBatch's offline merge is tested
+// against.
 //
-// Because the runs accumulate into one tracker, a failed run (canceled,
-// over budget, stage panic) poisons the shared state and aborts the whole
-// call with that run's typed error; AnalyzeBatch isolates failures per run
-// instead.
+// Because the runs accumulate into one tracker, a failed run (over budget,
+// stage panic) poisons the shared state and aborts the whole call with
+// that run's typed error; AnalyzeBatch isolates failures per run instead.
 func (a *Analyzer) AnalyzeMulti(inputs []Inputs) (*Result, error) {
-	return a.AnalyzeMultiContext(context.Background(), inputs)
-}
-
-// AnalyzeMultiContext is AnalyzeMulti under a context; see AnalyzeContext
-// for the cancellation semantics.
-func (a *Analyzer) AnalyzeMultiContext(ctx context.Context, inputs []Inputs) (*Result, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("engine: no inputs")
 	}
@@ -621,7 +607,7 @@ func (a *Analyzer) AnalyzeMultiContext(ctx context.Context, inputs []Inputs) (*R
 		}
 		// Only run 0's graph has the repeatable single-run topology; later
 		// runs accumulate, so they skip the skeleton cache.
-		r, err := a.runStages(ctx, s, tr, in, a.cfg.Fault.Run(i), i == 0)
+		r, err := a.runStages(context.Background(), s, tr, in, a.cfg.Fault.Run(i), i == 0)
 		if err != nil {
 			return nil, fmt.Errorf("engine: run %d: %w", i, err)
 		}
@@ -632,69 +618,6 @@ func (a *Analyzer) AnalyzeMultiContext(ctx context.Context, inputs []Inputs) (*R
 	res.Runs = runs
 	res.Stages = agg
 	return res, nil
-}
-
-// AnalyzeSource compiles MiniC source (through the global compile cache)
-// and analyzes one execution.
-func AnalyzeSource(filename, src string, in Inputs, cfg Config) (*Result, error) {
-	prog, err := CompileCached(filename, src)
-	if err != nil {
-		return nil, err
-	}
-	return Analyze(prog, in, cfg)
-}
-
-// Analyze runs one execution of prog under the analysis.
-func Analyze(prog *vm.Program, in Inputs, cfg Config) (*Result, error) {
-	return New(prog, cfg).Analyze(in)
-}
-
-// AnalyzeContext runs one execution under a context; see
-// (*Analyzer).AnalyzeContext.
-func AnalyzeContext(ctx context.Context, prog *vm.Program, in Inputs, cfg Config) (*Result, error) {
-	return New(prog, cfg).AnalyzeContext(ctx, in)
-}
-
-// AnalyzeMulti analyzes several executions together; see
-// (*Analyzer).AnalyzeMulti.
-func AnalyzeMulti(prog *vm.Program, inputs []Inputs, cfg Config) (*Result, error) {
-	return New(prog, cfg).AnalyzeMulti(inputs)
-}
-
-// AnalyzeBatch analyzes several executions in parallel; see
-// (*Analyzer).AnalyzeBatch.
-func AnalyzeBatch(prog *vm.Program, inputs []Inputs, cfg Config) (*Result, error) {
-	return New(prog, cfg).AnalyzeBatch(inputs)
-}
-
-// AnalyzeBatchContext analyzes several executions in parallel under a
-// context; see (*Analyzer).AnalyzeBatchContext.
-func AnalyzeBatchContext(ctx context.Context, prog *vm.Program, inputs []Inputs, cfg Config) (*Result, error) {
-	return New(prog, cfg).AnalyzeBatchContext(ctx, inputs)
-}
-
-// AnalyzeClasses measures per-class disclosure in parallel; see
-// (*Analyzer).AnalyzeClasses.
-func AnalyzeClasses(prog *vm.Program, in Inputs, classes []SecretClass, cfg Config) ([]ClassResult, error) {
-	return New(prog, cfg).AnalyzeClasses(in, classes)
-}
-
-// AnalyzeClassesContext measures per-class disclosure in parallel under a
-// context; see (*Analyzer).AnalyzeClassesContext.
-func AnalyzeClassesContext(ctx context.Context, prog *vm.Program, in Inputs, classes []SecretClass, cfg Config) ([]ClassResult, error) {
-	return New(prog, cfg).AnalyzeClassesContext(ctx, in, classes)
-}
-
-// AnalyzeClassSet measures per-class disclosure plus the joint bound; see
-// (*Analyzer).AnalyzeClassSetContext.
-func AnalyzeClassSet(prog *vm.Program, in Inputs, classes []SecretClass, cfg Config) (*ClassAnalysis, error) {
-	return New(prog, cfg).AnalyzeClassSet(in, classes)
-}
-
-// AnalyzeClassSetContext is AnalyzeClassSet under a context; see
-// (*Analyzer).AnalyzeClassSetContext.
-func AnalyzeClassSetContext(ctx context.Context, prog *vm.Program, in Inputs, classes []SecretClass, cfg Config) (*ClassAnalysis, error) {
-	return New(prog, cfg).AnalyzeClassSetContext(ctx, in, classes)
 }
 
 // RunPlain executes prog uninstrumented (the baseline for overhead

@@ -28,14 +28,14 @@ func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 	prog := guest.Program("unary")
 	inputs := unaryInputs(0, 1, 2, 3, 5, 8, 13, 40, 100, 150, 200, 255)
 
-	multi, err := engine.AnalyzeMulti(prog, inputs, engine.Config{})
+	multi, err := engine.New(prog, engine.Config{}).AnalyzeMulti(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var first *engine.Result
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0), 7} {
-		res, err := engine.AnalyzeBatch(prog, inputs, engine.Config{Workers: w})
+		res, err := engine.New(prog, engine.Config{Workers: w}).AnalyzeBatch(inputs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -73,14 +73,14 @@ func TestBatchMatchesMultiExactMode(t *testing.T) {
 	inputs := unaryInputs(0, 3, 200)
 	cfg := engine.Config{Taint: taint.Options{Exact: true}}
 
-	multi, err := engine.AnalyzeMulti(prog, inputs, cfg)
+	multi, err := engine.New(prog, cfg).AnalyzeMulti(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 		wcfg := cfg
 		wcfg.Workers = w
-		batch, err := engine.AnalyzeBatch(prog, inputs, wcfg)
+		batch, err := engine.New(prog, wcfg).AnalyzeBatch(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +97,11 @@ func TestBatchMatchesMultiCompress(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		inputs = append(inputs, engine.Inputs{Secret: workload.PiWords(128 + 64*i)})
 	}
-	multi, err := engine.AnalyzeMulti(prog, inputs, engine.Config{})
+	multi, err := engine.New(prog, engine.Config{}).AnalyzeMulti(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := engine.AnalyzeBatch(prog, inputs, engine.Config{})
+	batch, err := engine.New(prog, engine.Config{}).AnalyzeBatch(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestBatchMatchesMultiCompress(t *testing.T) {
 func TestSessionReuseIsClean(t *testing.T) {
 	prog := guest.Program("compress")
 	in := engine.Inputs{Secret: workload.PiWords(256)}
-	fresh, err := engine.Analyze(prog, in, engine.Config{})
+	fresh, err := engine.New(prog, engine.Config{}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSessionReuseIsClean(t *testing.T) {
 	}
 	// Different input on the same session: no residue from the previous one.
 	in2 := engine.Inputs{Secret: workload.PiWords(64)}
-	fresh2, err := engine.Analyze(prog, in2, engine.Config{})
+	fresh2, err := engine.New(prog, engine.Config{}).Analyze(in2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSessionReuseIsClean(t *testing.T) {
 func TestMultiRunSummaries(t *testing.T) {
 	prog := guest.Program("unary")
 	inputs := unaryInputs(0, 3, 200)
-	res, err := engine.AnalyzeMulti(prog, inputs, engine.Config{})
+	res, err := engine.New(prog, engine.Config{}).AnalyzeMulti(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestMultiRunSummaries(t *testing.T) {
 func TestBatchRunSummaries(t *testing.T) {
 	prog := guest.Program("unary")
 	secrets := []byte{0, 1, 5, 150}
-	res, err := engine.AnalyzeBatch(prog, unaryInputs(secrets...), engine.Config{})
+	res, err := engine.New(prog, engine.Config{}).AnalyzeBatch(unaryInputs(secrets...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +232,15 @@ func TestAnalyzeClassesMatchesSerial(t *testing.T) {
 		{Name: "first", Off: 0, Len: 1},
 		{Name: "second", Off: 1, Len: 1},
 	}
-	par, err := engine.AnalyzeClasses(prog, in, classes, engine.Config{})
+	ca, err := engine.New(prog, engine.Config{}).AnalyzeClassSet(in, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	par := ca.Classes
 	for i, c := range classes {
 		cfg := engine.Config{}
 		cfg.Taint.SecretRanges = []taint.StreamRange{{Off: c.Off, Len: c.Len}}
-		serial, err := engine.Analyze(prog, in, cfg)
+		serial, err := engine.New(prog, cfg).Analyze(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func TestAnalyzeClassesMatchesSerial(t *testing.T) {
 // records the merge stage.
 func TestStageStatsPopulated(t *testing.T) {
 	prog := guest.Program("compress")
-	res, err := engine.Analyze(prog, engine.Inputs{Secret: workload.PiWords(256)}, engine.Config{})
+	res, err := engine.New(prog, engine.Config{}).Analyze(engine.Inputs{Secret: workload.PiWords(256)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +277,9 @@ func TestStageStatsPopulated(t *testing.T) {
 		t.Fatalf("single-run Merge = %v, want 0", res.Stages.Merge)
 	}
 
-	batch, err := engine.AnalyzeBatch(prog, []engine.Inputs{
+	batch, err := engine.New(prog, engine.Config{}).AnalyzeBatch([]engine.Inputs{
 		{Secret: workload.PiWords(128)}, {Secret: workload.PiWords(192)},
-	}, engine.Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

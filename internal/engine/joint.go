@@ -47,7 +47,7 @@ type JointResult struct {
 // solverWork bounds the joint solve (0 = unlimited); on exhaustion the
 // bound degrades soundly to the merged graph's trivial cut with
 // Rung = RungTrivial, exactly as a budgeted single-process batch would.
-func SolveJoint(graphs []*flowgraph.Graph, algo maxflow.Algorithm, solverWork int64) *JointResult {
+func SolveJoint(graphs []*flowgraph.Graph, solverWork int64) *JointResult {
 	mStart := time.Now()
 	joint := merge.Graphs(graphs...)
 	mergeDur := time.Since(mStart)
@@ -60,7 +60,7 @@ func SolveJoint(graphs []*flowgraph.Graph, algo maxflow.Algorithm, solverWork in
 		Bits:              trivialCutBits(joint),
 		Rung:              RungFull,
 	}
-	flow, exhausted := maxflow.NewSolver(algo).SolveBudgeted(joint, solverWork)
+	flow, exhausted := maxflow.NewSolver(maxflow.Dinic).SolveBudgeted(joint, solverWork)
 	if exhausted {
 		jr.Rung = RungTrivial // joint solver-budget fallback: trivial cut
 		jr.Degraded = true

@@ -113,8 +113,7 @@ func TestAdaptiveEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Analyze(prog, Inputs{Secret: []byte("x")},
-		Config{Precision: PrecisionAdaptive, AdaptiveThreshold: 8})
+	res, err := New(prog, Config{Precision: PrecisionAdaptive, AdaptiveThreshold: 8}).Analyze(Inputs{Secret: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +121,7 @@ func TestAdaptiveEscalation(t *testing.T) {
 		t.Fatalf("small secret: rung=%q bits=%d, want trivial/8", res.Rung, res.Bits)
 	}
 
-	res, err = Analyze(prog, Inputs{Secret: make([]byte, 64)},
-		Config{Precision: PrecisionAdaptive, AdaptiveThreshold: 20})
+	res, err = New(prog, Config{Precision: PrecisionAdaptive, AdaptiveThreshold: 20}).Analyze(Inputs{Secret: make([]byte, 64)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +155,7 @@ func TestRungProvenance(t *testing.T) {
 	}
 	in := Inputs{Secret: []byte("ab")}
 
-	full, err := Analyze(prog, in, Config{})
+	full, err := New(prog, Config{}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,7 @@ func TestRungProvenance(t *testing.T) {
 		t.Errorf("full solve rung = %q", full.Rung)
 	}
 
-	degraded, err := Analyze(prog, in, Config{Budget: Budget{SolverWork: 1}})
+	degraded, err := New(prog, Config{Budget: Budget{SolverWork: 1}}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +172,7 @@ func TestRungProvenance(t *testing.T) {
 			degraded.Rung, degraded.Degraded, degraded.Graph != nil)
 	}
 
-	multi, err := AnalyzeMulti(prog, []Inputs{in, in}, Config{Precision: PrecisionStatic})
+	multi, err := New(prog, Config{Precision: PrecisionStatic}).AnalyzeMulti([]Inputs{in, in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +185,7 @@ func TestRungProvenance(t *testing.T) {
 		}
 	}
 
-	batch, err := AnalyzeBatch(prog, []Inputs{in, in}, Config{Precision: PrecisionTrivial})
+	batch, err := New(prog, Config{Precision: PrecisionTrivial}).AnalyzeBatch([]Inputs{in, in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +193,7 @@ func TestRungProvenance(t *testing.T) {
 		t.Fatalf("batch trivial: rung=%q bits=%d, want trivial/32", batch.Rung, batch.Bits)
 	}
 
-	fullBatch, err := AnalyzeBatch(prog, []Inputs{in, in}, Config{})
+	fullBatch, err := New(prog, Config{}).AnalyzeBatch([]Inputs{in, in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,18 +217,18 @@ func TestPrecisionKeysCache(t *testing.T) {
 	cache := stagecache.New(stagecache.Options{MaxBytes: 8 << 20})
 	in := Inputs{Secret: []byte("ab")}
 
-	full, err := Analyze(prog, in, Config{Cache: cache})
+	full, err := New(prog, Config{Cache: cache}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := Analyze(prog, in, Config{Cache: cache, Precision: PrecisionStatic})
+	static, err := New(prog, Config{Cache: cache, Precision: PrecisionStatic}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if static.Rung != RungStatic || full.Rung != RungFull {
 		t.Fatalf("rungs: full=%q static=%q", full.Rung, static.Rung)
 	}
-	again, err := Analyze(prog, in, Config{Cache: cache})
+	again, err := New(prog, Config{Cache: cache}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}

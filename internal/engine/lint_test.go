@@ -59,8 +59,7 @@ func TestLintCleanAndCachedAcrossRuns(t *testing.T) {
 // Without Lint the static machinery must stay out of the way entirely.
 func TestNoLintNoStatic(t *testing.T) {
 	secret, public, _ := guest.SampleInputs("unary")
-	res, err := engine.Analyze(guest.Program("unary"),
-		engine.Inputs{Secret: secret, Public: public}, engine.Config{})
+	res, err := engine.New(guest.Program("unary"), engine.Config{}).Analyze(engine.Inputs{Secret: secret, Public: public})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestBatchLint(t *testing.T) {
 	for _, b := range []byte{0, 3, 7, 200} {
 		inputs = append(inputs, engine.Inputs{Secret: []byte{b}})
 	}
-	res, err := engine.AnalyzeBatch(prog, inputs, engine.Config{Lint: true, Workers: 2})
+	res, err := engine.New(prog, engine.Config{Lint: true, Workers: 2}).AnalyzeBatch(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +102,7 @@ func TestLintAllGuestsClean(t *testing.T) {
 			t.Errorf("%s: no sample inputs", name)
 			continue
 		}
-		res, err := engine.Analyze(guest.Program(name),
-			engine.Inputs{Secret: secret, Public: public}, engine.Config{Lint: true})
+		res, err := engine.New(guest.Program(name), engine.Config{Lint: true}).Analyze(engine.Inputs{Secret: secret, Public: public})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

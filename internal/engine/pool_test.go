@@ -34,10 +34,10 @@ func TestPanickedSessionQuarantined(t *testing.T) {
 			if res.Runs[1].Err != nil {
 				t.Fatalf("run 1 served from the poisoned session: %v", res.Runs[1].Err)
 			}
-			if got := engine.SessionsCreated(a); got != 2 {
+			if got := a.Pool().Created; got != 2 {
 				t.Fatalf("%d sessions created, want 2 (panicked session must be replaced, not reused)", got)
 			}
-			if got := engine.SessionsRecycled(a); got != 1 {
+			if got := a.Pool().Recycled; got != 1 {
 				t.Fatalf("%d sessions recycled, want 1", got)
 			}
 			mustZeroLive(t, a)
@@ -59,8 +59,8 @@ func TestPanickedSessionQuarantinedSingleRun(t *testing.T) {
 	if _, err := a.Analyze(engine.Inputs{Secret: []byte{5}}); !errors.Is(err, engine.ErrInternal) {
 		t.Fatalf("got %v, want ErrInternal", err)
 	}
-	if created, recycled := engine.SessionsCreated(a), engine.SessionsRecycled(a); created != 2 || recycled != 2 {
-		t.Fatalf("created=%d recycled=%d, want 2/2 (each panicked session discarded)", created, recycled)
+	if ps := a.Pool(); ps.Created != 2 || ps.Recycled != 2 {
+		t.Fatalf("created=%d recycled=%d, want 2/2 (each panicked session discarded)", ps.Created, ps.Recycled)
 	}
 	mustZeroLive(t, a)
 }
@@ -74,7 +74,7 @@ func TestSessionHighWaterRecycles(t *testing.T) {
 	in := engine.Inputs{Secret: []byte{200}}
 	// Exact mode gives per-operation graphs big enough that high-water 1 is
 	// always exceeded.
-	base, err := engine.Analyze(prog, in, engine.Config{Taint: taint.Options{Exact: true}})
+	base, err := engine.New(prog, engine.Config{Taint: taint.Options{Exact: true}}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestSessionHighWaterRecycles(t *testing.T) {
 		if res.Bits != base.Bits {
 			t.Fatalf("run %d: bits %d != %d, recycling changed the result", i, res.Bits, base.Bits)
 		}
-		if created := engine.SessionsCreated(a); created != int64(i+1) {
+		if created := a.Pool().Created; created != int64(i+1) {
 			t.Fatalf("run %d: %d sessions created, want %d (each over-water session replaced)", i, created, i+1)
 		}
 	}
-	if got := engine.SessionsRecycled(a); got != 3 {
+	if got := a.Pool().Recycled; got != 3 {
 		t.Fatalf("%d sessions recycled, want 3", got)
 	}
 	mustZeroLive(t, a)
@@ -108,7 +108,7 @@ func TestSessionHighWaterRecycles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := engine.SessionsRecycled(b); got != 0 {
+	if got := b.Pool().Recycled; got != 0 {
 		t.Fatalf("%d sessions recycled without a high-water mark, want 0", got)
 	}
 }

@@ -203,11 +203,9 @@ type ClassResult struct {
 	Degraded       bool
 	DegradedReason string
 
-	// Stages is this class's own pipeline cost. On the shared path that
-	// is just the view solve — Execute and Build are zero because the
-	// class performed no execution (the shared run's cost is on
-	// ClassAnalysis.Joint); in reexec mode it is the class's full
-	// pipeline.
+	// Stages is this class's own pipeline cost: just the view solve —
+	// Execute and Build are zero because the class performed no execution
+	// (the shared run's cost is on ClassAnalysis.Joint).
 	Stages StageStats
 
 	Err error

@@ -34,7 +34,7 @@ int main() {
 
 func mustZeroLive(t *testing.T, a *engine.Analyzer) {
 	t.Helper()
-	if n := engine.LiveSessions(a); n != 0 {
+	if n := a.Pool().Live; n != 0 {
 		t.Fatalf("%d sessions leaked", n)
 	}
 }
@@ -101,7 +101,7 @@ func TestBatchContextPreCanceled(t *testing.T) {
 func TestSolverBudgetDegrades(t *testing.T) {
 	prog := guest.Program("unary")
 	in := engine.Inputs{Secret: []byte{200}}
-	exact, err := engine.Analyze(prog, in, engine.Config{})
+	exact, err := engine.New(prog, engine.Config{}).Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func batchSurvivors(t *testing.T, plan *fault.Plan, wantFailed map[int]error) {
 			surviving = append(surviving, in)
 		}
 	}
-	clean, err := engine.AnalyzeBatch(prog, surviving, engine.Config{})
+	clean, err := engine.New(prog, engine.Config{}).AnalyzeBatch(surviving)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,10 +350,11 @@ func TestClassesIsolateFailure(t *testing.T) {
 		{Name: "low", Off: 0, Len: 8},
 		{Name: "high", Off: 8, Len: 8},
 	}
-	out, err := a.AnalyzeClasses(engine.Inputs{Secret: []byte("0123456789abcdef")}, classes)
+	ca, err := a.AnalyzeClassSet(engine.Inputs{Secret: []byte("0123456789abcdef")}, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := ca.Classes
 	if !errors.Is(out[1].Err, engine.ErrInternal) {
 		t.Fatalf("class 1 err %v, want ErrInternal", out[1].Err)
 	}

@@ -6,7 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
+	"flowcheck/internal/stagecache"
 )
 
 // ------------------------------------------------ Content-addressed cache ---
@@ -51,22 +52,22 @@ func cacheStudySource(stmts int) string {
 
 // CacheStudy sweeps n distinct inputs through each regime.
 func CacheStudy(n int) CacheResult {
-	prog, err := core.CompileCached("cachestudy.mc", cacheStudySource(1000))
+	prog, err := engine.CompileCached("cachestudy.mc", cacheStudySource(1000))
 	if err != nil {
 		panic(err)
 	}
-	inputs := make([]core.Inputs, n)
+	inputs := make([]engine.Inputs, n)
 	for i := range inputs {
-		inputs[i] = core.Inputs{Secret: []byte{byte(i), byte(i >> 8), 0x5A, byte(7 * i)}}
+		inputs[i] = engine.Inputs{Secret: []byte{byte(i), byte(i >> 8), 0x5A, byte(7 * i)}}
 	}
 	r := CacheResult{Inputs: n, BitsAgree: true}
 	ctx := context.Background()
 
-	sweep := func(cfg core.Config, ins []core.Inputs) (time.Duration, string) {
+	sweep := func(cfg engine.Config, ins []engine.Inputs) (time.Duration, string) {
 		disp := ""
 		t0 := time.Now()
 		for _, in := range ins {
-			res, err := core.AnalyzeContext(ctx, prog, in, cfg)
+			res, err := engine.New(prog, cfg).AnalyzeContext(ctx, in)
 			if err != nil {
 				panic(err)
 			}
@@ -82,21 +83,21 @@ func CacheStudy(n int) CacheResult {
 	// Cold: a fresh cache per input — nothing to reuse, every run is a miss.
 	t0 := time.Now()
 	for _, in := range inputs {
-		cfg := core.Config{Cache: core.NewCache(core.CacheOptions{})}
-		if _, err := core.AnalyzeContext(ctx, prog, in, cfg); err != nil {
+		cfg := engine.Config{Cache: stagecache.New(stagecache.Options{})}
+		if _, err := engine.New(prog, cfg).AnalyzeContext(ctx, in); err != nil {
 			panic(err)
 		}
 	}
-	r.Cold, r.ColdDisp = time.Since(t0), core.CacheMiss
+	r.Cold, r.ColdDisp = time.Since(t0), engine.CacheMiss
 
 	// Incremental: one seed run caches the skeleton and static analysis;
 	// the n fresh inputs then re-run only Execute + the capacity re-solve.
 	// Each cached result retains its ~25k-edge graph, so the budget is
 	// sized to hold the whole sweep — eviction is measured elsewhere
 	// (stagecache tests), not here.
-	cache := core.NewCache(core.CacheOptions{MaxBytes: 512 << 20})
-	cfg := core.Config{Cache: cache}
-	if _, err := core.AnalyzeContext(ctx, prog, core.Inputs{Secret: []byte{0xFF, 0xEE, 0xDD, 0xCC}}, cfg); err != nil {
+	cache := stagecache.New(stagecache.Options{MaxBytes: 512 << 20})
+	cfg := engine.Config{Cache: cache}
+	if _, err := engine.New(prog, cfg).AnalyzeContext(ctx, engine.Inputs{Secret: []byte{0xFF, 0xEE, 0xDD, 0xCC}}); err != nil {
 		panic(err)
 	}
 	r.Incremental, r.IncDisp = sweep(cfg, inputs)
@@ -106,11 +107,11 @@ func CacheStudy(n int) CacheResult {
 
 	// Cached bounds must match uncached reruns bit for bit.
 	for _, in := range inputs {
-		cached, err := core.AnalyzeContext(ctx, prog, in, cfg)
+		cached, err := engine.New(prog, cfg).AnalyzeContext(ctx, in)
 		if err != nil {
 			panic(err)
 		}
-		plain, err := core.Analyze(prog, in, core.Config{})
+		plain, err := engine.New(prog, engine.Config{}).Analyze(in)
 		if err != nil {
 			panic(err)
 		}
@@ -121,7 +122,7 @@ func CacheStudy(n int) CacheResult {
 	}
 
 	st := cache.Stats()
-	ks := st.Kinds[core.CacheKindResult]
+	ks := st.Kinds[engine.KindResult]
 	r.HitRatio = ks.HitRatio()
 	r.Evictions = ks.Evictions
 	return r

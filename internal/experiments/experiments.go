@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"flowcheck/internal/check"
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/flowgraph"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/infer"
@@ -26,8 +26,8 @@ import (
 
 // mustAnalyze runs one analysis, panicking on guest errors (experiment
 // inputs are fixed and known-good).
-func mustAnalyze(name string, in core.Inputs, cfg core.Config) *core.Result {
-	res, err := core.Analyze(guest.Program(name), in, cfg)
+func mustAnalyze(name string, in engine.Inputs, cfg engine.Config) *engine.Result {
+	res, err := engine.New(guest.Program(name), cfg).Analyze(in)
 	if err != nil {
 		panic(fmt.Sprintf("experiment %s: %v", name, err))
 	}
@@ -54,12 +54,16 @@ const Fig2Input = "one. two. three? four. five. six? seven. eight. nine? ten. el
 
 // Fig2 runs the §2.4 experiment.
 func Fig2() Fig2Result {
-	in := core.Inputs{Secret: []byte(Fig2Input)}
-	res := mustAnalyze("count_punct", in, core.Config{})
+	in := engine.Inputs{Secret: []byte(Fig2Input)}
+	res := mustAnalyze("count_punct", in, engine.Config{})
 
 	noRegions := strings.ReplaceAll(guest.Source("count_punct"), "__enclose(num_dot, num_qm)", "")
 	noRegions = strings.ReplaceAll(noRegions, "__enclose(common, num)", "")
-	res2, err := core.AnalyzeSource("count_punct_noregions.mc", noRegions, in, core.Config{})
+	prog2, err := engine.CompileCached("count_punct_noregions.mc", noRegions)
+	if err != nil {
+		panic(err)
+	}
+	res2, err := engine.New(prog2, engine.Config{}).Analyze(in)
 	if err != nil {
 		panic(err)
 	}
@@ -108,7 +112,7 @@ func fig3Corpus(sizes []int, corpus func(int) []byte) []Fig3Point {
 	for _, n := range sizes {
 		in := corpus(n)
 		start := time.Now()
-		res := mustAnalyze("compress", core.Inputs{Secret: in}, core.Config{})
+		res := mustAnalyze("compress", engine.Inputs{Secret: in}, engine.Config{})
 		out = append(out, Fig3Point{
 			InputBytes:      n,
 			CompressedBytes: len(res.Output),
@@ -179,15 +183,15 @@ func Battleship() BattleshipResult {
 		}
 	}
 	var out BattleshipResult
-	res := mustAnalyze("battleship", core.Inputs{Secret: secret, Public: workload.BattleshipShots(0, [][2]byte{miss})}, core.Config{})
+	res := mustAnalyze("battleship", engine.Inputs{Secret: secret, Public: workload.BattleshipShots(0, [][2]byte{miss})}, engine.Config{})
 	out.MissBits, out.MissReply = res.Bits, string(res.Output)
-	res = mustAnalyze("battleship", core.Inputs{Secret: secret, Public: workload.BattleshipShots(0, [][2]byte{hit})}, core.Config{})
+	res = mustAnalyze("battleship", engine.Inputs{Secret: secret, Public: workload.BattleshipShots(0, [][2]byte{hit})}, engine.Config{})
 	out.HitBits, out.HitReply = res.Bits, string(res.Output)
-	res = mustAnalyze("battleship", core.Inputs{Secret: secret, Public: workload.BattleshipShots(1, [][2]byte{hit})}, core.Config{})
+	res = mustAnalyze("battleship", engine.Inputs{Secret: secret, Public: workload.BattleshipShots(1, [][2]byte{hit})}, engine.Config{})
 	out.BuggyBits = res.Bits
 
 	shots := [][2]byte{{0, 0}, {3, 4}, {5, 5}, {9, 9}, {2, 7}, {4, 4}}
-	res = mustAnalyze("battleship", core.Inputs{Secret: secret, Public: workload.BattleshipShots(0, shots)}, core.Config{})
+	res = mustAnalyze("battleship", engine.Inputs{Secret: secret, Public: workload.BattleshipShots(0, shots)}, engine.Config{})
 	out.GameBits = res.Bits
 	out.GameShots = len(shots)
 	for _, s := range res.Snapshots {
@@ -225,18 +229,18 @@ type SSHResult struct {
 }
 
 // SSHInputs are the fixed experiment inputs.
-func SSHInputs() core.Inputs {
+func SSHInputs() engine.Inputs {
 	key := make([]byte, 64)
 	for i := range key {
 		key[i] = byte(i*37 + 11)
 	}
 	public := append([]byte("session-id-0123!"), []byte("challenge-bytes!")...)
-	return core.Inputs{Secret: key, Public: public}
+	return engine.Inputs{Secret: key, Public: public}
 }
 
 // SSH runs the §8.2 measurement.
 func SSH() SSHResult {
-	res := mustAnalyze("sshauth", SSHInputs(), core.Config{})
+	res := mustAnalyze("sshauth", SSHInputs(), engine.Config{})
 	return SSHResult{
 		Bits:      res.Bits,
 		KeyBits:   512,
@@ -259,9 +263,9 @@ type Fig5Result struct {
 func Fig5() Fig5Result {
 	img := workload.Image(25, 25, 1)
 	r := Fig5Result{InputBits: int64(8 * len(img))}
-	r.PixelateBits = mustAnalyze("imagefilter", core.Inputs{Secret: img, Public: []byte{0}}, core.Config{}).Bits
-	r.BlurBits = mustAnalyze("imagefilter", core.Inputs{Secret: img, Public: []byte{1}}, core.Config{}).Bits
-	r.SwirlBits = mustAnalyze("imagefilter", core.Inputs{Secret: img, Public: []byte{2}}, core.Config{}).Bits
+	r.PixelateBits = mustAnalyze("imagefilter", engine.Inputs{Secret: img, Public: []byte{0}}, engine.Config{}).Bits
+	r.BlurBits = mustAnalyze("imagefilter", engine.Inputs{Secret: img, Public: []byte{1}}, engine.Config{}).Bits
+	r.SwirlBits = mustAnalyze("imagefilter", engine.Inputs{Secret: img, Public: []byte{2}}, engine.Config{}).Bits
 	return r
 }
 
@@ -278,20 +282,20 @@ type CalendarResult struct {
 // Calendar runs the sparse and busy measurements.
 func Calendar() CalendarResult {
 	var out CalendarResult
-	res := mustAnalyze("calendar", core.Inputs{
+	res := mustAnalyze("calendar", engine.Inputs{
 		// One appointment 10:00-12:00 (slots 20..24).
 		Secret: workload.CalendarSecret([]workload.Appointment{{StartSlot: 20, EndSlot: 24}}),
 		Public: workload.CalendarQuery(1, 9, 18),
-	}, core.Config{})
+	}, engine.Config{})
 	out.SparseBits, out.SparseGrid = res.Bits, strings.TrimSpace(string(res.Output))
-	res = mustAnalyze("calendar", core.Inputs{
+	res = mustAnalyze("calendar", engine.Inputs{
 		Secret: workload.CalendarSecret([]workload.Appointment{
 			{StartSlot: 18, EndSlot: 20}, {StartSlot: 21, EndSlot: 23},
 			{StartSlot: 25, EndSlot: 27}, {StartSlot: 30, EndSlot: 33},
 			{StartSlot: 40, EndSlot: 44},
 		}),
 		Public: workload.CalendarQuery(5, 9, 18),
-	}, core.Config{})
+	}, engine.Config{})
 	out.BusyBits, out.BusyGrid = res.Bits, strings.TrimSpace(string(res.Output))
 	return out
 }
@@ -322,18 +326,18 @@ func XServer() XServerResult {
 	cardPaste := []byte("card=4111111111111111 pin=0000!!")
 
 	var out XServerResult
-	res := mustAnalyze("xserver", core.Inputs{Secret: mkSecret(plainPaste), Public: []byte{0}}, core.Config{})
+	res := mustAnalyze("xserver", engine.Inputs{Secret: mkSecret(plainPaste), Public: []byte{0}}, engine.Config{})
 	out.BBoxBits = res.Bits
 	out.TextBits = int64(8 * len(text))
-	res = mustAnalyze("xserver", core.Inputs{Secret: mkSecret(plainPaste), Public: []byte{1}}, core.Config{})
+	res = mustAnalyze("xserver", engine.Inputs{Secret: mkSecret(plainPaste), Public: []byte{1}}, engine.Config{})
 	out.PasteBits = res.Bits
-	res = mustAnalyze("xserver", core.Inputs{Secret: mkSecret(cardPaste), Public: []byte{2}}, core.Config{})
+	res = mustAnalyze("xserver", engine.Inputs{Secret: mkSecret(cardPaste), Public: []byte{2}}, engine.Config{})
 	out.ExploitBits = res.Bits
 
 	// Policy: only the bounding-box channel (the cut of the mode-0 run) is
 	// allowed. The exploit run must produce violations under the §6.2
 	// checker.
-	bbox := mustAnalyze("xserver", core.Inputs{Secret: mkSecret(cardPaste), Public: []byte{0}}, core.Config{})
+	bbox := mustAnalyze("xserver", engine.Inputs{Secret: mkSecret(cardPaste), Public: []byte{0}}, engine.Config{})
 	chk, err := check.RunTaintCheck(guest.Program("xserver"), mkSecret(cardPaste), []byte{2}, bbox.CutSites(), 0)
 	if err != nil {
 		panic(err)
@@ -392,8 +396,8 @@ type SPPoint struct {
 func SPStudy(sizes []int) []SPPoint {
 	var out []SPPoint
 	for _, n := range sizes {
-		res := mustAnalyze("compress", core.Inputs{Secret: workload.PiWords(n)},
-			core.Config{Taint: taint.Options{Exact: true}})
+		res := mustAnalyze("compress", engine.Inputs{Secret: workload.PiWords(n)},
+			engine.Config{Taint: taint.Options{Exact: true}})
 		red, st := spqr.Reduce(res.Graph)
 		out = append(out, SPPoint{
 			InputBytes:   n,
@@ -437,9 +441,9 @@ var CompactionSizes = []int{256, 512, 1024, 2048, 4096}
 func Compaction(sizes []int) []CompactionPoint {
 	out := make([]CompactionPoint, 0, len(sizes))
 	for _, n := range sizes {
-		in := core.Inputs{Secret: workload.PiWords(n)}
-		plain := mustAnalyze("compress", in, core.Config{Taint: taint.Options{Exact: true}})
-		res := mustAnalyze("compress", in, core.Config{
+		in := engine.Inputs{Secret: workload.PiWords(n)}
+		plain := mustAnalyze("compress", in, engine.Config{Taint: taint.Options{Exact: true}})
+		res := mustAnalyze("compress", in, engine.Config{
 			Taint: taint.Options{Exact: true}, Compact: 4096,
 		})
 		if res.Bits != plain.Bits {
@@ -481,7 +485,7 @@ func Kraft() KraftResult {
 	var out KraftResult
 	var graphs []*flowgraph.Graph
 	for _, n := range inputs {
-		res, err := core.Analyze(prog, core.Inputs{Secret: []byte{n}}, core.Config{})
+		res, err := engine.New(prog, engine.Config{}).Analyze(engine.Inputs{Secret: []byte{n}})
 		if err != nil {
 			panic(err)
 		}
@@ -527,7 +531,7 @@ type CheckResult struct {
 func Checking() CheckResult {
 	secret := []byte(Fig2Input)
 	prog := guest.Program("count_punct")
-	res := mustAnalyze("count_punct", core.Inputs{Secret: secret}, core.Config{})
+	res := mustAnalyze("count_punct", engine.Inputs{Secret: secret}, engine.Config{})
 	var out CheckResult
 	out.AnalysisBits = res.Bits
 
@@ -551,7 +555,7 @@ func Checking() CheckResult {
 	out.LockstepBits = ls.BitsTransferred
 	out.LockstepSteps = ls.Steps
 
-	m, err := core.RunPlain(prog, core.Inputs{Secret: secret}, core.Config{})
+	m, err := engine.RunPlain(prog, engine.Inputs{Secret: secret}, engine.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -578,10 +582,10 @@ type CollapseResult struct {
 
 // Collapse measures graph sizes for one compression input.
 func Collapse(n int) CollapseResult {
-	in := core.Inputs{Secret: workload.PiWords(n)}
-	exact := mustAnalyze("compress", in, core.Config{Taint: taint.Options{Exact: true}})
-	coll := mustAnalyze("compress", in, core.Config{})
-	ctx := mustAnalyze("compress", in, core.Config{Taint: taint.Options{ContextSensitive: true}})
+	in := engine.Inputs{Secret: workload.PiWords(n)}
+	exact := mustAnalyze("compress", in, engine.Config{Taint: taint.Options{Exact: true}})
+	coll := mustAnalyze("compress", in, engine.Config{})
+	ctx := mustAnalyze("compress", in, engine.Config{Taint: taint.Options{ContextSensitive: true}})
 	return CollapseResult{
 		InputBytes:     n,
 		Steps:          coll.Steps,
@@ -599,24 +603,25 @@ func Collapse(n int) CollapseResult {
 // --------------------------------------------------- Multi-class (§10.1) ---
 
 // MultiClassResult measures each secret class independently (the paper's
-// §10.1 future-work direction) and compares the two class pipelines: the
-// legacy reexec mode (one instrumented execution per class) against the
-// shared multi-commodity mode (one execution, one capacity-view solve per
+// §10.1 future-work direction) and compares two ways to get the per-class
+// bounds: the ranged oracle ("reexec": one instrumented execution per
+// class with only that class's bytes marked secret) against the shared
+// multi-commodity pipeline (one execution, one capacity-view solve per
 // class over the shared graph).
 type MultiClassResult struct {
-	Classes []core.ClassResult
+	Classes []engine.ClassResult
 	Joint   int64
 	Sum     int64
 
-	// Per-mode cost over Iters repetitions of the whole class set.
+	// Per-pipeline cost over Iters repetitions of the whole class set.
 	Iters    int
 	ReexecMS float64 // mean latency, one execution per class
 	SharedMS float64 // mean latency, one execution + per-class solves
-	// Executions per class actually performed by each mode (1.0 for
+	// Executions per class actually performed by each pipeline (1.0 for
 	// reexec; 1/N for shared).
 	ReexecExecsPerClass float64
 	SharedExecsPerClass float64
-	// Agree reports that the two modes produced identical per-class
+	// Agree reports that the two pipelines produced identical per-class
 	// bounds on this workload.
 	Agree bool
 }
@@ -625,46 +630,56 @@ type MultiClassResult struct {
 // jointly: each appointment's disclosure is bounded separately, and the
 // per-class bounds can sum to more than the joint bound because the 18
 // grid squares are shared capacity (the crowding-out effect of §10.1).
-// Both class pipelines run, timed, on the same class set.
+// Both pipelines run, timed, on the same class set.
 func MultiClass() MultiClassResult {
-	in := core.Inputs{
+	in := engine.Inputs{
 		Secret: workload.CalendarSecret([]workload.Appointment{
 			{StartSlot: 20, EndSlot: 24}, {StartSlot: 30, EndSlot: 33},
 		}),
 		Public: workload.CalendarQuery(2, 9, 18),
 	}
-	classes := []core.SecretClass{
+	classes := []engine.SecretClass{
 		{Name: "appointment-1", Off: 1, Len: 2},
 		{Name: "appointment-2", Off: 3, Len: 2},
 	}
 	prog := guest.Program("calendar")
 	const iters = 20
 
-	run := func(mode string) (*core.ClassAnalysis, float64, float64) {
-		cfg := core.Config{ClassMode: mode}
-		var last *core.ClassAnalysis
-		var execs int
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			ca, err := core.AnalyzeClassSet(prog, in, classes, cfg)
+	// Shared: one execution, one capacity-view solve per class.
+	var shared *engine.ClassAnalysis
+	t0 := time.Now()
+	for i := 0; i < iters; i++ {
+		ca, err := engine.New(prog, engine.Config{}).AnalyzeClassSet(in, classes)
+		if err != nil {
+			panic(err)
+		}
+		shared = ca
+	}
+	sharedMS := float64(time.Since(t0).Microseconds()) / 1000 / iters
+
+	// Ranged oracle: the plain analysis with only the class's bytes marked
+	// secret — one execution per class.
+	ranged := make([]int64, len(classes))
+	t0 = time.Now()
+	for i := 0; i < iters; i++ {
+		for k, c := range classes {
+			cfg := engine.Config{}
+			cfg.Taint.SecretRanges = []taint.StreamRange{{Off: c.Off, Len: c.Len}}
+			res, err := engine.New(prog, cfg).Analyze(in)
 			if err != nil {
 				panic(err)
 			}
-			last, execs = ca, ca.Executions
+			ranged[k] = res.Bits
 		}
-		ms := float64(time.Since(t0).Microseconds()) / 1000 / iters
-		return last, ms, float64(execs) / float64(len(classes))
 	}
+	reexecMS := float64(time.Since(t0).Microseconds()) / 1000 / iters
 
-	shared, sharedMS, sharedEPC := run(core.ClassModeShared)
-	reexec, reexecMS, reexecEPC := run(core.ClassModeReexec)
-
-	joint := mustAnalyze("calendar", in, core.Config{})
+	joint := mustAnalyze("calendar", in, engine.Config{})
 	var sum int64
 	agree := true
 	for i, c := range shared.Classes {
 		sum += c.Bits
-		if c.Bits != reexec.Classes[i].Bits {
+		if c.Bits != ranged[i] {
 			agree = false
 		}
 	}
@@ -675,8 +690,8 @@ func MultiClass() MultiClassResult {
 		Iters:               iters,
 		ReexecMS:            reexecMS,
 		SharedMS:            sharedMS,
-		ReexecExecsPerClass: reexecEPC,
-		SharedExecsPerClass: sharedEPC,
+		ReexecExecsPerClass: 1,
+		SharedExecsPerClass: float64(shared.Executions) / float64(len(classes)),
 		Agree:               agree,
 	}
 }
@@ -700,7 +715,7 @@ func Interp() InterpResult {
 	}
 	runScript := func(ops ...byte) int64 {
 		public := append([]byte{byte(len(ops))}, ops...)
-		return mustAnalyze("interp", core.Inputs{Secret: secret, Public: public}, core.Config{}).Bits
+		return mustAnalyze("interp", engine.Inputs{Secret: secret, Public: public}, engine.Config{}).Bits
 	}
 	return InterpResult{
 		MaskNibbleBits: runScript(1, 3, 2, 0x0F, 5, 7, 0),
@@ -714,8 +729,8 @@ func Interp() InterpResult {
 // Divzero reproduces the §3.1 division example: both behaviors reveal one
 // bit under the adversarial model.
 func Divzero() (zeroBits, nonzeroBits int64) {
-	z := mustAnalyze("divzero", core.Inputs{Secret: []byte{9, 0, 0, 0, 0, 0, 0, 0}}, core.Config{})
-	nz := mustAnalyze("divzero", core.Inputs{Secret: []byte{9, 0, 0, 0, 3, 0, 0, 0}}, core.Config{})
+	z := mustAnalyze("divzero", engine.Inputs{Secret: []byte{9, 0, 0, 0, 0, 0, 0, 0}}, engine.Config{})
+	nz := mustAnalyze("divzero", engine.Inputs{Secret: []byte{9, 0, 0, 0, 3, 0, 0, 0}}, engine.Config{})
 	return z.Bits, nz.Bits
 }
 
@@ -743,15 +758,15 @@ type BatchResult struct {
 // secret inputs.
 func Batch(runs int) BatchResult {
 	prog := guest.Program("compress")
-	inputs := make([]core.Inputs, runs)
+	inputs := make([]engine.Inputs, runs)
 	for i := range inputs {
-		inputs[i] = core.Inputs{Secret: workload.PiWords(512 + 64*i)}
+		inputs[i] = engine.Inputs{Secret: workload.PiWords(512 + 64*i)}
 	}
 	r := BatchResult{Guest: "compress", Runs: runs, Workers: runtime.GOMAXPROCS(0)}
 
 	t0 := time.Now()
 	for _, in := range inputs {
-		res, err := core.Analyze(prog, in, core.Config{})
+		res, err := engine.New(prog, engine.Config{}).Analyze(in)
 		if err != nil {
 			panic(err)
 		}
@@ -760,21 +775,21 @@ func Batch(runs int) BatchResult {
 	r.Serial = time.Since(t0)
 
 	t0 = time.Now()
-	multi, err := core.AnalyzeMulti(prog, inputs, core.Config{})
+	multi, err := engine.New(prog, engine.Config{}).AnalyzeMulti(inputs)
 	if err != nil {
 		panic(err)
 	}
 	r.Multi = time.Since(t0)
 
 	t0 = time.Now()
-	b1, err := core.AnalyzeBatch(prog, inputs, core.Config{Workers: 1})
+	b1, err := engine.New(prog, engine.Config{Workers: 1}).AnalyzeBatch(inputs)
 	if err != nil {
 		panic(err)
 	}
 	r.Batch1 = time.Since(t0)
 
 	t0 = time.Now()
-	bn, err := core.AnalyzeBatch(prog, inputs, core.Config{})
+	bn, err := engine.New(prog, engine.Config{}).AnalyzeBatch(inputs)
 	if err != nil {
 		panic(err)
 	}
@@ -808,11 +823,11 @@ type DegradeResult struct {
 // Degrade measures the budgeted-solve fallback on a compress execution.
 func Degrade(n int) DegradeResult {
 	prog := guest.Program("compress")
-	in := core.Inputs{Secret: workload.PiWords(n)}
-	exact := mustAnalyze("compress", in, core.Config{})
+	in := engine.Inputs{Secret: workload.PiWords(n)}
+	exact := mustAnalyze("compress", in, engine.Config{})
 	r := DegradeResult{Guest: "compress", ExactBits: exact.Bits}
 	for _, budget := range []int64{100, 1_000, 10_000, 100_000, 1_000_000} {
-		res, err := core.Analyze(prog, in, core.Config{Budget: core.Budget{SolverWork: budget}})
+		res, err := engine.New(prog, engine.Config{Budget: engine.Budget{SolverWork: budget}}).Analyze(in)
 		if err != nil {
 			panic(err)
 		}

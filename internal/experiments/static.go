@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/guest"
 )
 
@@ -31,8 +31,8 @@ func StaticPass() []StaticRow {
 		if !ok {
 			continue
 		}
-		res := mustAnalyze(name, core.Inputs{Secret: secret, Public: public},
-			core.Config{Lint: true})
+		res := mustAnalyze(name, engine.Inputs{Secret: secret, Public: public},
+			engine.Config{Lint: true})
 		st := res.StaticStats
 		rows = append(rows, StaticRow{
 			Guest:      name,

@@ -336,7 +336,7 @@ func (c *Coordinator) mergeBatch(req *BatchRequest, outcomes []runOutcome, start
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("fleet: all %d runs failed: %w", len(outcomes), errors.Join(failures...))
 	}
-	jr := engine.SolveJoint(graphs, c.opts.Algorithm, c.opts.SolverWork)
+	jr := engine.SolveJoint(graphs, c.opts.SolverWork)
 	out.Bits = jr.Bits
 	out.TaintedOutputBits = jr.TaintedOutputBits
 	out.Rung = jr.Rung

@@ -165,7 +165,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	expected := make(map[int]int64, len(work))
 	for i, w := range work {
-		res, err := engine.Analyze(guest.Program(w.program), engine.Inputs{Secret: w.secret}, engine.Config{})
+		res, err := engine.New(guest.Program(w.program), engine.Config{}).Analyze(engine.Inputs{Secret: w.secret})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flowcheck/internal/maxflow"
 	"flowcheck/internal/serve"
 )
 
@@ -75,11 +74,10 @@ type Options struct {
 	BatchWorkersPerShard int
 	MaxRedispatch        int
 
-	// Algorithm and SolverWork configure the coordinator's joint solve of
-	// merged batch graphs; they must match the shards' configuration for
-	// distributed batches to be bit-identical to in-process ones
-	// (defaults: Dinic, unlimited — the engine's own defaults).
-	Algorithm  maxflow.Algorithm
+	// SolverWork bounds the coordinator's joint solve of merged batch
+	// graphs; it must match the shards' configuration for distributed
+	// batches to be bit-identical to in-process ones (default unlimited,
+	// the engine's own default).
 	SolverWork int64
 
 	// Transport is the chaos seam: the fleet's HTTP round tripper

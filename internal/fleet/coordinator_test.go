@@ -60,7 +60,7 @@ func unaryRequest(secret byte) *serve.AnalyzeRequest {
 
 func unaryDirect(t *testing.T, secret byte) *engine.Result {
 	t.Helper()
-	res, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{secret}}, engine.Config{})
+	res, err := engine.New(guest.Program("unary"), engine.Config{}).Analyze(engine.Inputs{Secret: []byte{secret}})
 	if err != nil {
 		t.Fatal(err)
 	}

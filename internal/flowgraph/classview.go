@@ -16,7 +16,7 @@ type ByteRange struct {
 }
 
 func (r ByteRange) contains(off int) bool {
-	return off >= r.Off && off < r.Off+r.Len
+	return off >= r.Off && off-r.Off < r.Len
 }
 
 // SourceContrib records one secret-stream byte's contribution to a Source
@@ -24,8 +24,8 @@ func (r ByteRange) contains(off int) bool {
 // capacity it contributed. Off < 0 marks an unattributed contribution
 // (memory marked secret with no stream position, e.g. the __secret
 // builtin); such capacity belongs to every class view, which is both
-// conservative and what the legacy per-class re-execution does — it marks
-// builtin-secret memory regardless of the class ranging.
+// conservative and what the ranged analysis does — it marks builtin-secret
+// memory regardless of the class ranging.
 type SourceContrib struct {
 	Off  int
 	Bits int64
@@ -67,8 +67,9 @@ func (v *CapacityView) Of(i int, base int64) int64 {
 // contributed by bytes inside the ranges (other classes' bytes are
 // zeroed), while unattributed contributions and unmapped Source edges keep
 // full capacity. Keeping the unattributed capacity is conservative — it
-// can only raise the class bound — and matches the legacy re-execution
-// oracle, which marks builtin-secret memory for every class. The result
+// can only raise the class bound — and matches the ranged analysis
+// (taint.Options.SecretRanges), which marks builtin-secret memory for
+// every class. The result
 // lists only edges whose effective capacity differs from the base graph,
 // in ascending edge order.
 func (m *SourceMap) ClassView(g *Graph, ranges ...ByteRange) *CapacityView {

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/workload"
 )
 
@@ -39,9 +39,9 @@ func TestAllGuestsCompile(t *testing.T) {
 	}
 }
 
-func run(t *testing.T, name string, secret, public []byte) *core.Result {
+func run(t *testing.T, name string, secret, public []byte) *engine.Result {
 	t.Helper()
-	res, err := core.Analyze(Program(name), core.Inputs{Secret: secret, Public: public}, core.Config{})
+	res, err := engine.New(Program(name), engine.Config{}).Analyze(engine.Inputs{Secret: secret, Public: public})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -506,10 +506,10 @@ func TestBattleshipRepeatedRequests(t *testing.T) {
 	// Merged independent runs: the bound sums (soundness under merging),
 	// so repetition across sessions is still counted conservatively.
 	prog := Program("battleship")
-	merged, err := core.AnalyzeMulti(prog, []core.Inputs{
+	merged, err := engine.New(prog, engine.Config{}).AnalyzeMulti([]engine.Inputs{
 		{Secret: secret, Public: workload.BattleshipShots(0, [][2]byte{misses[0]})},
 		{Secret: secret, Public: workload.BattleshipShots(0, [][2]byte{misses[0]})},
-	}, core.Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 // Package maxflow computes maximum flows and minimum cuts on the flow
 // networks of package flowgraph (paper §5, §6.1).
 //
-// Three exact algorithms are provided: Dinic's algorithm (the default;
-// near linear on the shallow, layered graphs that collapsed executions
-// produce), Edmonds–Karp (a simple augmenting-path baseline), and FIFO
-// push-relabel. All operate on a shared residual representation and feed
-// the same min-cut extraction.
+// Three exact algorithms are provided: Dinic's algorithm (the one the
+// analysis engine runs; near linear on the shallow, layered graphs that
+// collapsed executions produce), plus Edmonds–Karp (a simple
+// augmenting-path baseline) and FIFO push-relabel, kept as reference
+// implementations the tests check Dinic against. All operate on a shared
+// residual representation and feed the same min-cut extraction.
 //
 // A Solver owns the residual network and per-algorithm scratch buffers and
 // reuses them across Solve calls, so a long-lived analysis session (one
@@ -113,9 +114,6 @@ type Solver struct {
 
 // NewSolver returns a solver running the given algorithm.
 func NewSolver(algo Algorithm) *Solver { return &Solver{algo: algo} }
-
-// Algorithm reports the solver's configured algorithm.
-func (s *Solver) Algorithm() Algorithm { return s.algo }
 
 // Solve computes the maximum flow and minimum cut of g, reusing the
 // solver's buffers. The returned Result (including its cut) is detached

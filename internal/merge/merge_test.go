@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/flowgraph"
 	"flowcheck/internal/kraft"
 	"flowcheck/internal/lang"
@@ -145,7 +145,7 @@ func TestUnaryBinaryConsistency(t *testing.T) {
 	var graphs []*flowgraph.Graph
 	inputs := []byte{0, 1, 2, 5, 150}
 	for _, n := range inputs {
-		res, err := core.Analyze(prog, core.Inputs{Secret: []byte{n}}, core.Config{})
+		res, err := engine.New(prog, engine.Config{}).Analyze(engine.Inputs{Secret: []byte{n}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,22 +191,22 @@ func TestUnaryBinaryConsistency(t *testing.T) {
 }
 
 // Offline merge (this package) agrees with online multi-run analysis
-// (core.AnalyzeMulti / taint.Reset) on the bound.
+// (Analyzer.AnalyzeMulti / taint.Reset) on the bound.
 func TestOfflineMergeMatchesOnline(t *testing.T) {
 	prog, err := lang.Compile("unary.mc", unarySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := []core.Inputs{
+	inputs := []engine.Inputs{
 		{Secret: []byte{0}}, {Secret: []byte{3}}, {Secret: []byte{200}},
 	}
-	online, err := core.AnalyzeMulti(prog, inputs, core.Config{})
+	online, err := engine.New(prog, engine.Config{}).AnalyzeMulti(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var graphs []*flowgraph.Graph
 	for _, in := range inputs {
-		res, err := core.Analyze(prog, in, core.Config{Taint: taint.Options{}})
+		res, err := engine.New(prog, engine.Config{Taint: taint.Options{}}).Analyze(in)
 		if err != nil {
 			t.Fatal(err)
 		}

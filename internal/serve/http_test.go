@@ -31,7 +31,7 @@ func TestHTTPAnalyze(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	want, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
+	want, err := engine.New(guest.Program("unary"), engine.Config{}).Analyze(engine.Inputs{Secret: []byte{200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,5 +163,35 @@ func TestHTTPHealthAndReady(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
+	}
+}
+
+// A class length near the top of int is legal on the wire (only negative
+// values are rejected) and must bound the same bytes as its in-range
+// spelling, not wrap around to an empty class reporting 0 bits.
+func TestHTTPClassHugeLen(t *testing.T) {
+	svc := newService(t, serve.Options{})
+	svc.Register("count_punct", guest.Program("count_punct"), engine.Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	resp, body := postAnalyze(t, ts, `{"program":"count_punct","secret":"one. two. three? four.","classes":[`+
+		`{"name":"huge","off":1,"len":9223372036854775807},{"name":"exact","off":1,"len":21}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out serve.AnalyzeResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Classes) != 2 {
+		t.Fatalf("got %d classes, want 2: %s", len(out.Classes), body)
+	}
+	huge, exact := out.Classes[0], out.Classes[1]
+	if huge.Error != "" || exact.Error != "" {
+		t.Fatalf("class errors: %q, %q", huge.Error, exact.Error)
+	}
+	if exact.Bits == 0 || huge.Bits != exact.Bits {
+		t.Fatalf("class [1, MaxInt) = %d bits, [1, 22) = %d bits; want equal and nonzero", huge.Bits, exact.Bits)
 	}
 }

@@ -22,7 +22,7 @@ func unaryBody(secret byte) string {
 // A 429 from a windowed budget carries Retry-After: the window tells the
 // principal exactly when settled bits decay and waiting becomes useful.
 func TestHTTP429RetryAfterFromLedgerWindow(t *testing.T) {
-	direct, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
+	direct, err := engine.New(guest.Program("unary"), engine.Config{}).Analyze(engine.Inputs{Secret: []byte{200}})
 	if err != nil {
 		t.Fatal(err)
 	}

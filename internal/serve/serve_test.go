@@ -43,7 +43,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestAnalyzeOK(t *testing.T) {
 	svc := newService(t, serve.Options{})
-	want, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
+	want, err := engine.New(guest.Program("unary"), engine.Config{}).Analyze(engine.Inputs{Secret: []byte{200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRetryGrowsBudget(t *testing.T) {
 		Budget: engine.Budget{MaxOutputBytes: 64},
 	})
 
-	want, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
+	want, err := engine.New(guest.Program("unary"), engine.Config{}).Analyze(engine.Inputs{Secret: []byte{200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRetryDegraded(t *testing.T) {
 	svc.Register("unary", guest.Program("unary"), engine.Config{
 		Budget: engine.Budget{SolverWork: 1},
 	})
-	want, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
+	want, err := engine.New(guest.Program("unary"), engine.Config{}).Analyze(engine.Inputs{Secret: []byte{200}})
 	if err != nil {
 		t.Fatal(err)
 	}

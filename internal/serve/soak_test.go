@@ -68,7 +68,7 @@ func TestServiceChaosSoak(t *testing.T) {
 
 	// Fault-free references: sound served results must match these bits.
 	secret := byte(200)
-	ref, err := engine.Analyze(prog, engine.Inputs{Secret: []byte{secret}}, engine.Config{})
+	ref, err := engine.New(prog, engine.Config{}).Analyze(engine.Inputs{Secret: []byte{secret}})
 	if err != nil {
 		t.Fatal(err)
 	}

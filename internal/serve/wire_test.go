@@ -42,7 +42,7 @@ func TestWireGraphRoundTrip(t *testing.T) {
 // The wire format must survive a real engine-produced graph exactly —
 // edge order included, since order is what keys the deterministic merge.
 func TestWireGraphRoundTripEngineGraph(t *testing.T) {
-	res, err := engine.Analyze(guest.Program("count_punct"), engine.Inputs{Secret: []byte("hello, world")}, engine.Config{})
+	res, err := engine.New(guest.Program("count_punct"), engine.Config{}).Analyze(engine.Inputs{Secret: []byte("hello, world")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -707,7 +707,7 @@ func (t *Tracker) ReadInput(site uint32, addr vm.Word, data []byte, secret bool)
 
 func (t *Tracker) inSecretRange(off int) bool {
 	for _, r := range t.opts.SecretRanges {
-		if off >= r.Off && off < r.Off+r.Len {
+		if off >= r.Off && off-r.Off < r.Len {
 			return true
 		}
 	}

@@ -8,15 +8,19 @@ import (
 	"strings"
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/lang"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
 
-func analyze(t *testing.T, src string, secret []byte, opts taint.Options) *core.Result {
+func analyze(t *testing.T, src string, secret []byte, opts taint.Options) *engine.Result {
 	t.Helper()
-	res, err := core.AnalyzeSource("t.mc", src, core.Inputs{Secret: secret}, core.Config{Taint: opts})
+	p, err := lang.Compile("t.mc", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.New(p, engine.Config{Taint: opts}).Analyze(engine.Inputs{Secret: secret})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +265,8 @@ int main() {
     putc(buf[0]);
     return 0;
 }`
-	prog, err := core.AnalyzeSource("t.mc", src, core.Inputs{Secret: []byte{7}}, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Bits != 8 {
-		t.Fatalf("single run = %d", prog.Bits)
+	if single := analyze(t, src, []byte{7}, taint.Options{}); single.Bits != 8 {
+		t.Fatalf("single run = %d", single.Bits)
 	}
 	// Two identical runs merged: the input edge accumulates to 16, the
 	// output edge too; the bound stays finite and >= 8.
@@ -276,17 +276,17 @@ int main() {
 	}
 }
 
-func analyzeMulti(t *testing.T, src string, secrets [][]byte) *core.Result {
+func analyzeMulti(t *testing.T, src string, secrets [][]byte) *engine.Result {
 	t.Helper()
 	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inputs []core.Inputs
+	var inputs []engine.Inputs
 	for _, s := range secrets {
-		inputs = append(inputs, core.Inputs{Secret: s})
+		inputs = append(inputs, engine.Inputs{Secret: s})
 	}
-	res, err := core.AnalyzeMulti(p, inputs, core.Config{})
+	res, err := engine.New(p, engine.Config{}).AnalyzeMulti(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

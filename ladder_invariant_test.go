@@ -19,7 +19,6 @@ import (
 	"math"
 	"testing"
 
-	"flowcheck/internal/core"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/modelcount"
 	"flowcheck/internal/taint"
@@ -31,10 +30,10 @@ func TestLadderInvariantCorpus(t *testing.T) {
 	}
 	modes := []struct {
 		name string
-		cfg  core.Config
+		cfg  Config
 	}{
-		{"collapsed", core.Config{}},
-		{"exact", core.Config{Taint: taint.Options{Exact: true}}},
+		{"collapsed", Config{}},
+		{"exact", Config{Taint: taint.Options{Exact: true}}},
 	}
 	for _, name := range guest.Names() {
 		secret, public, ok := guest.SampleInputs(name)
@@ -42,15 +41,15 @@ func TestLadderInvariantCorpus(t *testing.T) {
 			t.Fatalf("no sample inputs for %q", name)
 		}
 		prog := guest.Program(name)
-		in := core.Inputs{Secret: secret, Public: public}
-		trivial := core.TrivialBoundBits(len(secret))
+		in := Inputs{Secret: secret, Public: public}
+		trivial := TrivialBoundBits(len(secret))
 
-		staticCfg := core.Config{Precision: core.PrecisionStatic}
-		staticRes, err := core.Analyze(prog, in, staticCfg)
+		staticCfg := Config{Precision: PrecisionStatic}
+		staticRes, err := Analyze(prog, in, staticCfg)
 		if err != nil {
 			t.Fatalf("%s: static rung failed: %v", name, err)
 		}
-		if staticRes.Rung != core.RungStatic || staticRes.Graph != nil || staticRes.Steps != 0 {
+		if staticRes.Rung != RungStatic || staticRes.Graph != nil || staticRes.Steps != 0 {
 			t.Fatalf("%s: static rung executed: rung=%q steps=%d", name, staticRes.Rung, staticRes.Steps)
 		}
 		if staticRes.Bits > trivial {
@@ -58,7 +57,7 @@ func TestLadderInvariantCorpus(t *testing.T) {
 		}
 
 		for _, mode := range modes {
-			res, err := core.Analyze(prog, in, mode.cfg)
+			res, err := Analyze(prog, in, mode.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, mode.name, err)
 			}
@@ -95,29 +94,29 @@ func TestLadderAdaptiveAgreesWithFull(t *testing.T) {
 			t.Fatalf("no sample inputs for %q", name)
 		}
 		prog := guest.Program(name)
-		in := core.Inputs{Secret: secret, Public: public}
+		in := Inputs{Secret: secret, Public: public}
 
 		// Threshold 0 forces escalation: the answer must be the full solve.
-		esc, err := core.Analyze(prog, in, core.Config{Precision: core.PrecisionAdaptive})
+		esc, err := Analyze(prog, in, Config{Precision: PrecisionAdaptive})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		full, err := core.Analyze(prog, in, core.Config{})
+		full, err := Analyze(prog, in, Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if esc.Rung != core.RungFull || esc.Bits != full.Bits {
+		if esc.Rung != RungFull || esc.Bits != full.Bits {
 			t.Errorf("%s: escalated adaptive rung=%q bits=%d, full solve %d",
 				name, esc.Rung, esc.Bits, full.Bits)
 		}
 
 		// A generous threshold stops at a cheap rung whose bound honors it.
-		cheap, err := core.Analyze(prog, in,
-			core.Config{Precision: core.PrecisionAdaptive, AdaptiveThreshold: math.MaxInt64})
+		cheap, err := Analyze(prog, in,
+			Config{Precision: PrecisionAdaptive, AdaptiveThreshold: math.MaxInt64})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if cheap.Rung != core.RungTrivial || cheap.Graph != nil {
+		if cheap.Rung != RungTrivial || cheap.Graph != nil {
 			t.Errorf("%s: unlimited threshold escalated past the trivial rung (%q)", name, cheap.Rung)
 		}
 	}

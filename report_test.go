@@ -1,4 +1,4 @@
-package core
+package flowcheck
 
 // Tests for the reporting surface: cut descriptions, sites, and the
 // auxiliary result fields downstream tools consume.
@@ -129,7 +129,7 @@ int main() {
 
 func TestAnalyzeMultiRequiresInputs(t *testing.T) {
 	prog := mustCompile(t, `int main() { return 0; }`)
-	if _, err := AnalyzeMulti(prog, nil, Config{}); err == nil {
+	if _, err := NewAnalyzer(prog, Config{}).AnalyzeMulti(nil); err == nil {
 		t.Fatal("empty input list should error")
 	}
 }

@@ -30,7 +30,7 @@ import (
 	"strings"
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
@@ -163,15 +163,15 @@ func TestSoundnessAgainstChannelCapacity(t *testing.T) {
 			behaviors := make([]string, 256)
 			distinct := map[string]bool{}
 			for sByte := 0; sByte < 256; sByte++ {
-				in := core.Inputs{Secret: []byte{byte(sByte)}}
-				m, err := core.RunPlain(prog, in, core.Config{})
+				in := Inputs{Secret: []byte{byte(sByte)}}
+				m, err := engine.RunPlain(prog, in, Config{})
 				if err != nil {
 					t.Fatalf("secret %d trapped: %v\n%s", sByte, err, src)
 				}
 				behaviors[sByte] = behavior(m)
 				distinct[behaviors[sByte]] = true
 
-				res, err := core.Analyze(prog, in, core.Config{})
+				res, err := Analyze(prog, in, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,11 +179,11 @@ func TestSoundnessAgainstChannelCapacity(t *testing.T) {
 			}
 
 			// Merged multi-run analysis over every input.
-			inputs := make([]core.Inputs, 256)
+			inputs := make([]Inputs, 256)
 			for i := range inputs {
-				inputs[i] = core.Inputs{Secret: []byte{byte(i)}}
+				inputs[i] = Inputs{Secret: []byte{byte(i)}}
 			}
-			merged, err := core.AnalyzeMulti(prog, inputs, core.Config{})
+			merged, err := NewAnalyzer(prog, Config{}).AnalyzeMulti(inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,16 +259,16 @@ func FuzzSoundness(f *testing.F) {
 			}
 		}
 		distinct := map[string]bool{}
-		inputs := make([]core.Inputs, len(secrets))
+		inputs := make([]Inputs, len(secrets))
 		for i, s := range secrets {
-			inputs[i] = core.Inputs{Secret: []byte{s}}
-			m, err := core.RunPlain(prog, inputs[i], core.Config{})
+			inputs[i] = Inputs{Secret: []byte{s}}
+			m, err := engine.RunPlain(prog, inputs[i], Config{})
 			if err != nil {
 				t.Fatalf("secret %d trapped: %v\n%s", s, err, src)
 			}
 			distinct[behavior(m)] = true
 
-			res, err := core.Analyze(prog, inputs[i], core.Config{})
+			res, err := Analyze(prog, inputs[i], Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +276,7 @@ func FuzzSoundness(f *testing.F) {
 				t.Fatalf("UNSOUND: secret %d reported 0 bits but behaviors differ\n%s", s, src)
 			}
 		}
-		merged, err := core.AnalyzeMulti(prog, inputs, core.Config{})
+		merged, err := NewAnalyzer(prog, Config{}).AnalyzeMulti(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,11 +287,11 @@ func FuzzSoundness(f *testing.F) {
 
 		// Degradation must stay sound: the budget-exhausted fallback bound
 		// can only be looser than the real solve.
-		degraded, err := core.Analyze(prog, inputs[0], core.Config{Budget: core.Budget{SolverWork: 1}})
+		degraded, err := Analyze(prog, inputs[0], Config{Budget: Budget{SolverWork: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := core.Analyze(prog, inputs[0], core.Config{})
+		exact, err := Analyze(prog, inputs[0], Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,16 +303,16 @@ func FuzzSoundness(f *testing.F) {
 		// sits between the full solve and the trivial 8·len bound, and —
 		// being input-independent — must cover the sampled behavior count
 		// on its own.
-		staticRes, err := core.Analyze(prog, inputs[0], core.Config{Precision: core.PrecisionStatic})
+		staticRes, err := Analyze(prog, inputs[0], Config{Precision: PrecisionStatic})
 		if err != nil {
 			t.Fatal(err)
 		}
-		trivial := core.TrivialBoundBits(1)
+		trivial := TrivialBoundBits(1)
 		if exact.Bits > staticRes.Bits || staticRes.Bits > trivial {
 			t.Fatalf("LADDER violated: measured %d <= static %d <= trivial %d fails\n%s",
 				exact.Bits, staticRes.Bits, trivial, src)
 		}
-		if staticRes.Rung != core.RungStatic || staticRes.Graph != nil {
+		if staticRes.Rung != RungStatic || staticRes.Graph != nil {
 			t.Fatalf("static rung executed: rung=%q graph=%v\n%s", staticRes.Rung, staticRes.Graph != nil, src)
 		}
 		if need := math.Log2(float64(len(distinct))); float64(staticRes.Bits) < need-1e-9 {
@@ -338,14 +338,14 @@ func TestSoundnessExactMode(t *testing.T) {
 		perRunBits := make([]int64, 256)
 		behaviors := make([]string, 256)
 		for sByte := 0; sByte < 256; sByte++ {
-			in := core.Inputs{Secret: []byte{byte(sByte)}}
-			m, err := core.RunPlain(prog, in, core.Config{})
+			in := Inputs{Secret: []byte{byte(sByte)}}
+			m, err := engine.RunPlain(prog, in, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			behaviors[sByte] = behavior(m)
 			distinct[behaviors[sByte]] = true
-			res, err := core.Analyze(prog, in, core.Config{Taint: taint.Options{Exact: true}})
+			res, err := Analyze(prog, in, Config{Taint: taint.Options{Exact: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
